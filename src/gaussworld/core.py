@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 EMPTY = 255
+MAX_CLASSES = EMPTY  # labels are uint8 and 255 marks empty, so classes are 0..254
 
 LOG_SCALE_MIN = math.log(1e-4)
 LOG_SCALE_MAX = math.log(1e3)
@@ -140,6 +141,8 @@ class GaussianScene:
         lg = lg.reshape(m.shape[0], -1) if lg.size else lg.reshape(0, len(self.class_names))
         if not (m.shape[0] == ls.shape[0] == q.shape[0] == lg.shape[0]):
             raise ValueError("per-Gaussian arrays must share leading dimension")
+        if len(self.class_names) > MAX_CLASSES:
+            raise ValueError(f"{len(self.class_names)} classes exceed the maximum of {MAX_CLASSES}")
         if lg.shape[1] != len(self.class_names):
             raise ValueError(
                 f"logits width {lg.shape[1]} != number of classes {len(self.class_names)}"
@@ -219,8 +222,8 @@ class ClassConfig:
     mahalanobis_cutoff: float = 3.0
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+        if not 1 <= self.num_classes <= MAX_CLASSES:
+            raise ValueError(f"num_classes must be in [1, {MAX_CLASSES}]")
         if self.empty_evidence <= 0:
             raise ValueError("empty_evidence must be positive")
         if self.mahalanobis_cutoff <= 0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 
 import numpy as np
@@ -104,9 +105,12 @@ def save_grid(path, grid: OccupancyGrid):
 
 
 def _read_exact(f, n, what):
-    data = f.read(n)
+    """Read n bytes; a size the rest of the file cannot hold is refused before anything is allocated."""
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    data = f.read(n) if n <= left else b""
     if len(data) != n:
-        raise FormatError(f"truncated file while reading {what} at byte offset {f.tell() - len(data)}")
+        raise FormatError(f"truncated file while reading {what} at byte offset {offset}: {n} bytes declared, {left} left")
     return data
 
 
@@ -122,9 +126,8 @@ def load_grid(path):
         dims = struct.unpack("<3I", _read_exact(f, 12, "dims"))
         (voxel_size,) = struct.unpack("<d", _read_exact(f, 8, "voxel_size"))
         (num_classes,) = struct.unpack("<I", _read_exact(f, 4, "class count"))
-        spec = GridSpec(origin, dims, voxel_size)
-        labels = np.frombuffer(_read_exact(f, spec.num_voxels, "labels"), dtype=np.uint8)
-        return OccupancyGrid(spec, labels, num_classes)
+        labels = np.frombuffer(_read_exact(f, dims[0] * dims[1] * dims[2], "labels"), dtype=np.uint8)
+        return OccupancyGrid(GridSpec(origin, dims, voxel_size), labels, num_classes)
 
 
 def save_flows(path, flows: FlowField):
@@ -168,5 +171,8 @@ def load_trajectory(path, dt=0.5):
         rows = sorted(reader, key=lambda r: int(r["step"]))
     if not rows:
         raise FormatError("trajectory CSV has no waypoints")
+    for k, r in enumerate(rows, start=1):
+        if int(r["step"]) != k:
+            raise FormatError(f"trajectory steps must be 1..{len(rows)}: step {r['step']} found where step {k} belongs")
     wps = tuple(Waypoint(float(r["x"]), float(r["y"]), float(r["psi"])) for r in rows)
     return Trajectory(wps, dt)

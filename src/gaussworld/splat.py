@@ -5,6 +5,11 @@ produce a dense semantic label grid. The loss interprets the per-class
 evidence, together with a fixed empty-evidence mass, as a (C+1)-way
 distribution per voxel and scores it against a target label grid; gradients
 with respect to every Gaussian parameter are exact derivatives of that scalar.
+
+Both passes run one block kernel that groups Gaussians by the shape of their
+voxel block and evaluates a chunk at a time with batched matmuls. The forward
+pass sums each voxel's terms in ascending Gaussian order, so the evidence is
+bit-identical to a per-Gaussian loop.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EMPTY, ClassConfig, GaussianScene, quat_to_rot
-from .grid import GridSpec, OccupancyGrid, voxel_centers
+from .grid import GridSpec, OccupancyGrid, gaussian_aabb_radii, voxel_centers
 
 PROB_FLOOR = 1e-12
 
@@ -37,61 +42,78 @@ class GaussianGrads:
     loss_value: float
 
 
-def _block_flat_indices(spec: GridSpec, mean, radius):
-    """Flat voxel indices whose centers may lie within `radius` of `mean`."""
-    nx, ny, nz = spec.dims
-    o = np.array(spec.origin)
-    vs = spec.voxel_size
-    lo = np.ceil((mean - radius - o) / vs - 0.5).astype(int)
-    hi = np.floor((mean + radius - o) / vs - 0.5).astype(int)
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, np.array([nx - 1, ny - 1, nz - 1]))
-    if np.any(hi < lo):
-        return None
-    i = np.arange(lo[0], hi[0] + 1)
-    j = np.arange(lo[1], hi[1] + 1)
-    k = np.arange(lo[2], hi[2] + 1)
-    I, J, K = np.meshgrid(i, j, k, indexing="ij")
-    return (I + nx * (J + ny * K)).ravel()
+_CHUNK_PAIRS = 1 << 14  # Gaussian-voxel pairs per kernel chunk; bounds the transient arrays
 
 
-def _iter_gaussian_blocks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
-    """Yield (gaussian index, flat voxel indices) in ascending Gaussian order."""
-    all_voxels = None
-    radii = kappa * np.exp(np.max(scene.log_scales, axis=1)) if len(scene) else None
-    for gi in range(len(scene)):
-        if use_index:
-            flat = _block_flat_indices(spec, scene.means[gi], radii[gi])
-            if flat is None:
-                continue
-        else:
-            if all_voxels is None:
-                all_voxels = np.arange(spec.num_voxels)
-            flat = all_voxels
-        yield gi, flat
+def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
+    """Yield (g, flat, d, u, q) for chunks of Gaussians that share one block shape.
+
+    Each Gaussian's block is the voxel box within κ·max(scale) of its mean,
+    clipped to the grid (the whole grid when use_index is off). g (B,) holds
+    ascending Gaussian indices, flat (B, n) their block voxels in i-slowest
+    order, d = center − mean and u = Rᵀd (B, n, 3), and q (B, n) the squared
+    Mahalanobis distances. Batched matmul runs the same BLAS call per Gaussian
+    as a per-Gaussian loop would, so every value is bit-identical to one.
+    """
+    dims = np.array(spec.dims)
+    if use_index:
+        r, o, vs = gaussian_aabb_radii(scene, kappa)[:, None], np.array(spec.origin), spec.voxel_size
+        lo = np.maximum(np.ceil((scene.means - r - o) / vs - 0.5).astype(int), 0)
+        hi = np.minimum(np.floor((scene.means + r - o) / vs - 0.5).astype(int), dims - 1)
+    else:
+        lo = np.zeros(scene.means.shape, int)
+        hi = lo + dims - 1
+    shape = hi - lo + 1
+    live = np.flatnonzero(np.all(shape > 0, axis=1))
+    if live.size == 0:
+        return
+    nx, ny, _ = spec.dims
+    key = shape[live] @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])
+    order = np.argsort(key, kind="stable")  # keeps each group's Gaussians ascending
+    groups = np.split(live[order], np.flatnonzero(np.diff(key[order])) + 1)
+    base = lo @ np.array([1, nx, nx * ny])
+    centers = voxel_centers(spec)
+    rots = quat_to_rot(scene.rotations)
+    s2inv = np.exp(-2.0 * scene.log_scales)
+    for members in groups:
+        bx, by, bz = shape[members[0]]
+        offs = (np.arange(bx)[:, None, None] + nx * (np.arange(by)[:, None] + ny * np.arange(bz))).ravel()
+        step = max(1, _CHUNK_PAIRS // offs.size)
+        for c0 in range(0, members.size, step):
+            g = members[c0 : c0 + step]
+            flat = base[g][:, None] + offs
+            d = np.take(centers, flat, axis=0)
+            d -= scene.means[g][:, None, :]
+            u = d @ rots[g]
+            q = ((u * u) @ s2inv[g][:, :, None])[..., 0]
+            yield g, flat, d, u, q
 
 
 def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams):
-    """Dense per-class evidence F, shape (num_voxels, C), κ cutoff applied."""
+    """Dense per-class evidence F, shape (num_voxels, C), κ cutoff applied.
+
+    Each voxel sums its terms in ascending Gaussian order, exactly as a
+    per-Gaussian scatter-add would.
+    """
     cfg = params.cfg
-    C = cfg.num_classes
-    F = np.zeros((spec.num_voxels, C))
-    if len(scene) == 0:
-        return F
-    centers = voxel_centers(spec)
-    probs = scene.class_probs()
-    rots = quat_to_rot(scene.rotations)
-    s2inv = np.exp(-2.0 * scene.log_scales)
+    M = spec.num_voxels
+    F = np.zeros((M, cfg.num_classes))
     k2 = cfg.mahalanobis_cutoff**2
-    for gi, flat in _iter_gaussian_blocks(scene, spec, cfg.mahalanobis_cutoff, params.use_index):
-        d = centers[flat] - scene.means[gi]
-        u = d @ rots[gi]  # Rᵀd rowwise
-        q = (u * u) @ s2inv[gi]
-        inside = q <= k2
-        if not np.any(inside):
-            continue
-        rho = np.exp(-0.5 * q[inside])
-        F[flat[inside]] += rho[:, None] * probs[gi]
+    gs, flats, qs = [], [], []
+    for g, flat, _, _, q in _block_chunks(scene, spec, cfg.mahalanobis_cutoff, params.use_index):
+        b, v = np.nonzero(q <= k2)
+        gs.append(g[b])
+        flats.append(flat[b, v])
+        qs.append(q[b, v])
+    if not gs:
+        return F
+    gi = np.concatenate(gs)
+    order = np.argsort(gi, kind="stable")
+    gi, flat = gi[order], np.concatenate(flats)[order]
+    rho = np.exp(-0.5 * np.concatenate(qs)[order])
+    probs = scene.class_probs()
+    for c in range(cfg.num_classes):
+        F[:, c] = np.bincount(flat, weights=rho * probs[gi, c], minlength=M)
     return F
 
 
@@ -116,13 +138,15 @@ def splat(scene: GaussianScene, spec: GridSpec, params: SplatParams):
     return grid, (F if params.store_fields else None)
 
 
-def occupancy_loss(scene: GaussianScene, target: OccupancyGrid, params: SplatParams):
-    """Loss value only; same objective as occupancy_loss_and_grads."""
-    cfg = params.cfg
-    spec = target.spec
+def _cross_entropy(F, target: OccupancyGrid, cfg: ClassConfig, with_grad=False):
+    """Mean per-voxel (C+1)-way cross-entropy of evidence F against target labels.
+
+    Returns the loss, and with_grad also dL/dF (M, C) with the 1/M averaging
+    folded in (zero where the target probability is clamped at PROB_FLOOR).
+    """
+    M = target.spec.num_voxels
     eps = cfg.empty_evidence
     t = target.labels
-    F = evidence_field(scene, spec, params)
     denom = F.sum(axis=1) + eps
     is_empty = t == EMPTY
     sem_idx = np.nonzero(~is_empty)[0]
@@ -132,17 +156,35 @@ def occupancy_loss(scene: GaussianScene, target: OccupancyGrid, params: SplatPar
     loss = np.sum(np.log(denom[is_empty])) - np.count_nonzero(is_empty) * np.log(eps)
     Pt = F[sem_idx, sem_t] / denom[sem_idx]
     loss += -np.sum(np.log(np.maximum(Pt, PROB_FLOOR)))
-    return float(loss / spec.num_voxels)
+    loss = float(loss / M)
+    if not with_grad:
+        return loss
+    dLdF = np.zeros_like(F)
+    dLdF[is_empty] = (1.0 / denom[is_empty])[:, None]
+    active = Pt >= PROB_FLOOR
+    active_idx, active_t = sem_idx[active], sem_t[active]
+    dLdF[active_idx] = (1.0 / denom[active_idx])[:, None]
+    dLdF[active_idx, active_t] -= 1.0 / F[active_idx, active_t]
+    dLdF /= M
+    return loss, dLdF
 
 
-# quaternion -> rotation-matrix Jacobian, for the unit quaternion (w,x,y,z)
+def occupancy_loss(scene: GaussianScene, target: OccupancyGrid, params: SplatParams):
+    """Loss value only; same objective as occupancy_loss_and_grads."""
+    return _cross_entropy(evidence_field(scene, target.spec, params), target, params.cfg)
+
+
+# quaternion -> rotation-matrix Jacobians for unit quaternions (w,x,y,z): (N,4) -> (N,4,3,3)
 def _dR_dquat(q):
-    w, x, y, z = q
-    dRw = 2.0 * np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    dRx = 2.0 * np.array([[0.0, y, z], [y, -2 * x, -w], [z, w, -2 * x]])
-    dRy = 2.0 * np.array([[-2 * y, x, w], [x, 0.0, z], [-w, z, -2 * y]])
-    dRz = 2.0 * np.array([[-2 * z, -w, x], [w, -2 * z, y], [x, y, 0.0]])
-    return np.stack([dRw, dRx, dRy, dRz])  # (4,3,3)
+    w, x, y, z = q.T
+    o = np.zeros_like(w)
+    J = [
+        [[o, -z, y], [z, o, -x], [-y, x, o]],
+        [[o, y, z], [y, -2 * x, -w], [z, w, -2 * x]],
+        [[-2 * y, x, w], [x, o, z], [-w, z, -2 * y]],
+        [[-2 * z, -w, x], [w, -2 * z, y], [x, y, o]],
+    ]
+    return 2.0 * np.moveaxis(np.array(J), -1, 0)
 
 
 def occupancy_loss_and_grads(scene: GaussianScene, target: OccupancyGrid, params: SplatParams):
@@ -154,86 +196,35 @@ def occupancy_loss_and_grads(scene: GaussianScene, target: OccupancyGrid, params
     Gaussian's κ cutoff contribute zero gradient to that Gaussian.
     """
     cfg = params.cfg
-    spec = target.spec
     C = cfg.num_classes
     N = len(scene)
-    M = spec.num_voxels
-    eps = cfg.empty_evidence
-    t = target.labels
+    F = evidence_field(scene, target.spec, params)
+    loss, dLdF = _cross_entropy(F, target, cfg, with_grad=True)
 
-    F = evidence_field(scene, spec, params)
-    S = F.sum(axis=1)
-    denom = S + eps
+    probs = scene.class_probs()
+    s2inv = np.exp(-2.0 * scene.log_scales)
+    k2 = cfg.mahalanobis_cutoff**2
+    # per Gaussian: Σw·a | Σw·u² | Σρ·dL/dF | Σw·d⊗a, with w = dL/dρ·ρ and a = S⁻²·Rᵀd
+    sums = np.zeros((N, 15 + C))
+    for g, flat, d, u, q in _block_chunks(scene, target.spec, cfg.mahalanobis_cutoff, params.use_index):
+        b, v = np.nonzero(q <= k2)
+        u, d, gdF = u[b, v], d[b, v], dLdF[flat[b, v]]
+        rho = np.exp(-0.5 * q[b, v])
+        w = np.einsum("pc,pc->p", gdF, probs[g[b]]) * rho
+        wa = w[:, None] * (u * s2inv[g[b]])
+        dwa = (d[:, :, None] * wa[:, None, :]).reshape(-1, 9)
+        terms = np.concatenate([wa, w[:, None] * u * u, rho[:, None] * gdF, dwa], axis=1)
+        K = terms.shape[1]
+        sums[g] = np.bincount((b[:, None] * K + np.arange(K)).ravel(), terms.ravel(), g.size * K).reshape(-1, K)
+    sum_wa, sum_wuu, dLdp = sums[:, :3], sums[:, 3:6], sums[:, 6 : 6 + C]
+    dLdR = -sums[:, 6 + C :].reshape(N, 3, 3)  # dρ/dR = -ρ·d·aᵀ
 
-    is_empty = t == EMPTY
-    sem_idx = np.nonzero(~is_empty)[0]
-    sem_t = t[sem_idx].astype(np.int64)
-    if np.any(sem_t >= C):
-        raise ValueError("target contains labels outside the class range")
-
-    loss = np.sum(np.log(denom[is_empty])) - np.count_nonzero(is_empty) * np.log(eps)
-    Ft = F[sem_idx, sem_t]
-    Pt = Ft / denom[sem_idx]
-    clamped = Pt < PROB_FLOOR
-    loss += -np.sum(np.log(np.maximum(Pt, PROB_FLOOR)))
-    loss /= M
-
-    # per-voxel dL/dF, already including the 1/M averaging
-    dLdF = np.zeros((M, C))
-    dLdF[is_empty] = (1.0 / denom[is_empty])[:, None]
-    active = sem_idx[~clamped]
-    active_t = sem_t[~clamped]
-    dLdF[active] = (1.0 / denom[active])[:, None]
-    dLdF[active, active_t] -= 1.0 / F[active, active_t]
-    dLdF /= M
-
-    d_means = np.zeros((N, 3))
-    d_log_scales = np.zeros((N, 3))
-    d_rotations = np.zeros((N, 4))
-    dLdp = np.zeros((N, C))
-
-    if N:
-        centers = voxel_centers(spec)
-        probs = scene.class_probs()
-        rots = quat_to_rot(scene.rotations)
-        s2inv_all = np.exp(-2.0 * scene.log_scales)
-        k2 = cfg.mahalanobis_cutoff**2
-        for gi, flat in _iter_gaussian_blocks(scene, spec, cfg.mahalanobis_cutoff, params.use_index):
-            R = rots[gi]
-            s2inv = s2inv_all[gi]
-            d = centers[flat] - scene.means[gi]
-            u = d @ R
-            q = (u * u) @ s2inv
-            inside = q <= k2
-            if not np.any(inside):
-                continue
-            flat = flat[inside]
-            d = d[inside]
-            u = u[inside]
-            rho = np.exp(-0.5 * q[inside])
-            g_rho = dLdF[flat] @ probs[gi]  # dL/dρ for this Gaussian per voxel
-            w = g_rho * rho
-            a = u * s2inv  # S⁻²·Rᵀd
-            # dρ/dμ = ρ·Σ⁻¹d with Σ⁻¹d = R·a
-            d_means[gi] = w @ (a @ R.T)
-            # dρ/d(ls_k) = ρ·u_k²·s2inv_k
-            d_log_scales[gi] = s2inv * (w @ (u * u))
-            # dL/dp_c accumulates ρ·dL/dF_c; softmax backprop happens once at the end
-            dLdp[gi] = rho @ dLdF[flat]
-            # dρ/dR = -ρ·d·aᵀ
-            dLdR = -np.einsum("v,vi,vj->ij", w, d, a)
-            dq_hat = np.einsum("mij,ij->m", _dR_dquat(scene.rotations[gi]), dLdR)
-            qv = scene.rotations[gi]
-            d_rotations[gi] = dq_hat - qv * (qv @ dq_hat)  # project to unit-sphere tangent
-
-        d_logits = probs * (dLdp - np.sum(dLdp * probs, axis=1, keepdims=True))
-    else:
-        d_logits = np.zeros((0, C))
-
+    qv = scene.rotations
+    dq_hat = np.einsum("nmij,nij->nm", _dR_dquat(qv), dLdR)
     return GaussianGrads(
-        d_means=d_means,
-        d_log_scales=d_log_scales,
-        d_logits=d_logits,
-        d_rotations=d_rotations,
-        loss_value=float(loss),
+        d_means=np.einsum("nij,nj->ni", quat_to_rot(qv), sum_wa),  # dρ/dμ = ρ·Σ⁻¹d = ρ·R·a
+        d_log_scales=s2inv * sum_wuu,  # dρ/d(ls_k) = ρ·u_k²·s2inv_k
+        d_logits=probs * (dLdp - np.sum(dLdp * probs, axis=1, keepdims=True)),
+        d_rotations=dq_hat - qv * np.sum(qv * dq_hat, axis=1, keepdims=True),  # unit-sphere tangent
+        loss_value=loss,
     )

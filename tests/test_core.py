@@ -248,3 +248,12 @@ class TestInvariants:
     def test_dynamic_ids_validated(self):
         with pytest.raises(ValueError):
             ClassConfig(3, dynamic_class_ids={5})
+
+    def test_class_count_capped_below_empty_label(self):
+        ClassConfig(255)
+        with pytest.raises(ValueError, match="255"):
+            ClassConfig(256)
+        names = tuple(f"c{i}" for i in range(256))
+        GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 255)), names[:255])
+        with pytest.raises(ValueError, match="255"):
+            GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 256)), names)

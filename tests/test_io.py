@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -97,9 +99,16 @@ class TestGridIO:
         with pytest.raises(FormatError, match="byte offset"):
             load_grid(path)
 
-    def test_wrong_version(self, tmp_path):
-        import struct
+    def test_corrupted_dims_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "g.occ"
+        save_grid(path, OccupancyGrid.empty(GridSpec((0, 0, 0), (4, 4, 2), 0.5)))
+        data = bytearray(path.read_bytes())
+        data[32:44] = struct.pack("<3I", 1024, 1024, 1024)  # dims follow magic, version and origin
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="declared"):
+            load_grid(path)
 
+    def test_wrong_version(self, tmp_path):
         path = tmp_path / "g.occ"
         path.write_bytes(b"OCCG" + struct.pack("<I", 2) + bytes(100))
         with pytest.raises(FormatError, match="version"):
@@ -137,6 +146,15 @@ class TestFlowIO:
         with pytest.raises(FormatError, match="truncated"):
             load_flows(path)
 
+    def test_corrupted_shape_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "f.flw"
+        save_flows(path, FlowField.zero(2, 4))
+        data = bytearray(path.read_bytes())
+        data[8:16] = struct.pack("<II", 2**32 - 1, 2**32 - 1)  # (F, N) follow magic and version
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="declared"):
+            load_flows(path)
+
 
 class TestTrajectoryIO:
     def test_round_trip_exact(self, tmp_path):
@@ -158,6 +176,14 @@ class TestTrajectoryIO:
         path.write_text("step,x,y,psi\n2,2.0,0.0,0.0\n1,1.0,0.0,0.0\n")
         back = load_trajectory(path)
         assert [w.x for w in back.waypoints] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("steps, bad", [((1, 1, 3), "step 1 found where step 2"), ((1, 2, 4), "step 4 found"),
+                                             ((0, 1), "step 0 found where step 1")])
+    def test_duplicate_or_missing_steps(self, tmp_path, steps, bad):
+        path = tmp_path / "t.csv"
+        path.write_text("step,x,y,psi\n" + "".join(f"{s},0.0,0.0,0.0\n" for s in steps))
+        with pytest.raises(FormatError, match=bad):
+            load_trajectory(path)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gaussworld.core import EMPTY, ClassConfig, GaussianScene, SemanticGaussian, label_at
+from gaussworld.core import EMPTY, ClassConfig, GaussianScene, SemanticGaussian, label_at, quat_to_rot
 from gaussworld.fit import check_gradients
-from gaussworld.grid import GridSpec, OccupancyGrid, voxel_center
+from gaussworld.grid import GridSpec, OccupancyGrid, voxel_center, voxel_centers
 from gaussworld.splat import (
     SplatParams,
+    _block_chunks,
+    evidence_field,
     occupancy_loss,
     occupancy_loss_and_grads,
     splat,
@@ -158,3 +160,137 @@ class TestGradients:
         labels2[7] = EMPTY
         grads2 = occupancy_loss_and_grads(scene, OccupancyGrid(spec, labels2), make_params(2))
         assert np.array_equal(grads.d_means, grads2.d_means)
+
+
+# Frozen copy of the per-Gaussian splat loops that the batched block kernel replaced.
+# The kernel must reproduce its evidence bit-for-bit and its gradients to 1e-12.
+def _oracle_blocks(scene, spec, kappa, use_index):
+    nx, ny, nz = spec.dims
+    o = np.array(spec.origin)
+    radii = kappa * np.exp(np.max(scene.log_scales, axis=1)) if len(scene) else None
+    for gi in range(len(scene)):
+        if not use_index:
+            yield gi, np.arange(spec.num_voxels)
+            continue
+        mean = scene.means[gi]
+        lo = np.ceil((mean - radii[gi] - o) / spec.voxel_size - 0.5).astype(int)
+        hi = np.floor((mean + radii[gi] - o) / spec.voxel_size - 0.5).astype(int)
+        lo = np.maximum(lo, 0)
+        hi = np.minimum(hi, np.array([nx - 1, ny - 1, nz - 1]))
+        if np.any(hi < lo):
+            continue
+        I, J, K = np.meshgrid(*(np.arange(lo[a], hi[a] + 1) for a in range(3)), indexing="ij")
+        yield gi, (I + nx * (J + ny * K)).ravel()
+
+
+def _oracle_pairs(scene, spec, params):
+    centers = voxel_centers(spec)
+    rots = quat_to_rot(scene.rotations)
+    s2inv = np.exp(-2.0 * scene.log_scales)
+    k2 = params.cfg.mahalanobis_cutoff**2
+    for gi, flat in _oracle_blocks(scene, spec, params.cfg.mahalanobis_cutoff, params.use_index):
+        d = centers[flat] - scene.means[gi]
+        u = d @ rots[gi]
+        q = (u * u) @ s2inv[gi]
+        inside = q <= k2
+        if np.any(inside):
+            yield gi, flat[inside], d[inside], u[inside], np.exp(-0.5 * q[inside]), rots[gi], s2inv[gi]
+
+
+def _oracle_evidence(scene, spec, params):
+    F = np.zeros((spec.num_voxels, params.cfg.num_classes))
+    probs = scene.class_probs() if len(scene) else None
+    for gi, flat, _, _, rho, _, _ in _oracle_pairs(scene, spec, params):
+        F[flat] += rho[:, None] * probs[gi]
+    return F
+
+
+def _oracle_dR_dquat(q):
+    w, x, y, z = q
+    dRw = 2.0 * np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    dRx = 2.0 * np.array([[0.0, y, z], [y, -2 * x, -w], [z, w, -2 * x]])
+    dRy = 2.0 * np.array([[-2 * y, x, w], [x, 0.0, z], [-w, z, -2 * y]])
+    dRz = 2.0 * np.array([[-2 * z, -w, x], [w, -2 * z, y], [x, y, 0.0]])
+    return np.stack([dRw, dRx, dRy, dRz])
+
+
+def _oracle_loss_and_grads(scene, target, params):
+    cfg, spec, t = params.cfg, target.spec, target.labels
+    C, N, M, eps = cfg.num_classes, len(scene), spec.num_voxels, cfg.empty_evidence
+    F = _oracle_evidence(scene, spec, params)
+    denom = F.sum(axis=1) + eps
+    is_empty = t == EMPTY
+    sem_idx = np.nonzero(~is_empty)[0]
+    sem_t = t[sem_idx].astype(np.int64)
+    loss = np.sum(np.log(denom[is_empty])) - np.count_nonzero(is_empty) * np.log(eps)
+    Pt = F[sem_idx, sem_t] / denom[sem_idx]
+    clamped = Pt < 1e-12
+    loss += -np.sum(np.log(np.maximum(Pt, 1e-12)))
+    loss /= M
+    dLdF = np.zeros((M, C))
+    dLdF[is_empty] = (1.0 / denom[is_empty])[:, None]
+    active, active_t = sem_idx[~clamped], sem_t[~clamped]
+    dLdF[active] = (1.0 / denom[active])[:, None]
+    dLdF[active, active_t] -= 1.0 / F[active, active_t]
+    dLdF /= M
+    d_means, d_log_scales, d_rotations = np.zeros((N, 3)), np.zeros((N, 3)), np.zeros((N, 4))
+    dLdp = np.zeros((N, C))
+    probs = scene.class_probs() if N else np.zeros((0, C))
+    for gi, flat, d, u, rho, R, s2inv in _oracle_pairs(scene, spec, params):
+        w = (dLdF[flat] @ probs[gi]) * rho
+        a = u * s2inv
+        d_means[gi] = w @ (a @ R.T)
+        d_log_scales[gi] = s2inv * (w @ (u * u))
+        dLdp[gi] = rho @ dLdF[flat]
+        dq_hat = np.einsum("mij,ij->m", _oracle_dR_dquat(scene.rotations[gi]), -np.einsum("v,vi,vj->ij", w, d, a))
+        qv = scene.rotations[gi]
+        d_rotations[gi] = dq_hat - qv * (qv @ dq_hat)
+    d_logits = probs * (dLdp - np.sum(dLdp * probs, axis=1, keepdims=True))
+    return F, float(loss), {"d_means": d_means, "d_log_scales": d_log_scales, "d_logits": d_logits,
+                            "d_rotations": d_rotations}
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(7)
+    spec = GridSpec((0, 0, 0), (10, 9, 7), 0.4)
+    yield "empty", spec, random_scene(rng, 0)
+    yield "single", spec, random_scene(rng, 1, lo=1.0, hi=2.5)
+    yield "outside_grid", spec, random_scene(rng, 5, lo=20.0, hi=30.0)
+    part = random_scene(rng, 7, lo=1.0, hi=2.5)
+    odd_out = 25.0 * (np.arange(7) % 2)[:, None]  # every other Gaussian moves far outside the grid
+    yield "partly_outside", spec, part.with_arrays(means=part.means + odd_out)
+    yield "clipped_at_edge", spec, random_scene(rng, 12, lo=-0.6, hi=4.6)  # blocks cut at every face
+    yield "mixed_shapes", spec, random_scene(rng, 40, lo=0.0, hi=4.0, scale_range=(0.05, 0.9))
+    big = GridSpec((0, 0, 0), (24, 24, 12), 0.25)
+    yield "many_pairs", big, random_scene(rng, 120, lo=0.0, hi=6.0, scale_range=(0.3, 0.5))
+    # one 5³ block shape for all 400 Gaussians, so the group spans several chunks
+    ijk = rng.integers(3, [21, 21, 9], size=(400, 3))
+    same = random_scene(rng, 400).with_arrays(means=(ijk + 0.5) * 0.25, log_scales=np.full((400, 3), np.log(0.2)))
+    yield "multi_chunk_group", big, same
+
+
+KERNEL_CASES = {name: (spec, scene) for name, spec, scene in _kernel_cases()}
+
+
+@pytest.mark.parametrize("use_index", [True, False])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_kernel_matches_per_gaussian_oracle(case, use_index):
+    spec, scene = KERNEL_CASES[case]
+    if case == "multi_chunk_group":
+        assert sum(1 for _ in _block_chunks(scene, spec, 3.0, use_index)) >= 3
+    if case == "many_pairs":
+        assert sum(flat.size for _, flat, _, _, _ in _block_chunks(scene, spec, 3.0, use_index)) > 2**14
+    params = SplatParams(ClassConfig(3), use_index=use_index)
+    labels = np.random.default_rng(3).choice([0, 1, 2, EMPTY], spec.num_voxels).astype(np.uint8)
+    target = OccupancyGrid(spec, labels)
+    F_ref, loss_ref, grads_ref = _oracle_loss_and_grads(scene, target, params)
+    assert np.array_equal(evidence_field(scene, spec, params), F_ref)
+    grads = occupancy_loss_and_grads(scene, target, params)
+    assert grads.loss_value == loss_ref
+    assert occupancy_loss(scene, target, params) == loss_ref
+    # relative to the largest gradient entry: isotropic Gaussians have rotation gradients of pure rounding noise
+    scale = max(max(np.max(np.abs(ref), initial=0.0) for ref in grads_ref.values()), 1e-300)
+    for group, ref in grads_ref.items():
+        got = getattr(grads, group)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale, group
