@@ -41,15 +41,20 @@ class Box:
         )
 
 
+def points_in_rect(points, x, y, yaw, half_length, half_width):
+    """Boolean mask of points whose planar (x, y) lies in the oriented rectangle, edges included."""
+    p = np.asarray(points, dtype=np.float64)
+    dx, dy = p[:, 0] - x, p[:, 1] - y
+    c, s = math.cos(yaw), math.sin(yaw)
+    return (np.abs(c * dx + s * dy) <= half_length) & (np.abs(-s * dx + c * dy) <= half_width)
+
+
 def points_in_box(points, box: Box, margin=0.0):
     """Boolean mask of 3D points inside the oriented box (optionally inflated)."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    d = p - np.array(box.center)
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    lx = c * d[:, 0] + s * d[:, 1]
-    ly = -s * d[:, 0] + c * d[:, 1]
     hx, hy, hz = (v / 2.0 + margin for v in box.size)
-    return (np.abs(lx) <= hx) & (np.abs(ly) <= hy) & (np.abs(d[:, 2]) <= hz)
+    inside = points_in_rect(p, box.center[0], box.center[1], box.yaw, hx, hy)
+    return inside & (np.abs(p[:, 2] - box.center[2]) <= hz)
 
 
 def _rect_corners(cx, cy, yaw, length, width):

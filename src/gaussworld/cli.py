@@ -28,10 +28,14 @@ from . import synth
 def _load_spec(path):
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"grid spec must be a JSON object, not {type(doc).__name__}")
     try:
         return GridSpec(tuple(doc["origin"]), tuple(doc["dims"]), doc["voxel_size"])
     except KeyError as e:
         raise ValueError(f"grid spec missing key {e.args[0]!r}") from e
+    except TypeError as e:
+        raise ValueError(f"malformed grid spec: {e}") from e
 
 
 def _splat_params(scene, empty_evidence=0.1, cutoff=3.0):
@@ -120,18 +124,7 @@ def cmd_plan(args):
     flows = gio.load_flows(args.flows, expected_gaussians=len(scene))
     with open(args.planner) as f:
         doc = json.load(f)
-    cfg = PlannerConfig(
-        num_steps=doc.get("num_steps", flows.num_steps),
-        dt=doc.get("dt", 0.5),
-        speeds=tuple(doc.get("speeds", (2.0, 4.0, 6.0))),
-        curvatures=tuple(doc.get("curvatures", (-0.2, -0.1, 0.0, 0.1, 0.2))),
-        footprint_length=doc.get("footprint_length", 4.6),
-        footprint_width=doc.get("footprint_width", 1.9),
-        collision_weight=doc.get("collision_weight", 1.0),
-        comfort_weight=doc.get("comfort_weight", 0.1),
-        reference_weight=doc.get("reference_weight", 0.1),
-        drivable_class_ids=frozenset(doc.get("drivable_class_ids", [])),
-    )
+    cfg = PlannerConfig.from_dict({"num_steps": flows.num_steps, **doc})
     reference = gio.load_trajectory(args.reference) if args.reference else None
     best, table = run_planner(scene, flows, spec, cfg, _splat_params(scene), reference)
     gio.save_trajectory(args.out, best)

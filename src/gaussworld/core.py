@@ -21,7 +21,10 @@ LOG_SCALE_MAX = math.log(1e3)
 
 
 def _as_float_array(x, n, name):
-    a = np.asarray(x, dtype=np.float64)
+    try:
+        a = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{name} must be numeric: {e}") from e
     if a.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -158,7 +161,8 @@ class GaussianScene:
         object.__setattr__(self, "rotations", q)
         object.__setattr__(self, "logits", lg)
         object.__setattr__(self, "class_names", tuple(self.class_names))
-        object.__setattr__(self, "frame_pose", tuple(float(v) for v in self.frame_pose))
+        pose = _as_float_array(self.frame_pose, 3, "frame_pose")
+        object.__setattr__(self, "frame_pose", tuple(float(v) for v in pose))
 
     @classmethod
     def from_gaussians(cls, gaussians, class_names, frame_pose=(0.0, 0.0, 0.0), timestamp_index=0):

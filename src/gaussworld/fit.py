@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ClassConfig, GaussianScene, quat_normalize
-from .flow import FlowField, Trajectory, apply_flow, ego_transform
+from .flow import FlowField, Trajectory, apply_flow, ego_transform, yaw_matrix
 from .grid import GridSpec, OccupancyGrid
 from .splat import SplatParams, occupancy_loss, occupancy_loss_and_grads
 
@@ -167,8 +167,7 @@ def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitCo
         # flows are cumulative, so the previous step's solution is the natural
         # warm start: each step then only needs to absorb one step of motion
         delta = delta.copy()
-        c, s = math.cos(-w.psi), math.sin(-w.psi)
-        Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        Rz = yaw_matrix(-w.psi)
         prev = None
         for it in range(cfg.max_iters):
             moved = ego_transform(apply_flow(scene, delta), w)
@@ -196,12 +195,8 @@ def check_gradients(scene: GaussianScene, target: OccupancyGrid, params: SplatPa
     'excluded'.
     """
     ana = occupancy_loss_and_grads(scene, target, params)
-    all_groups = {
-        "mean": (scene.means, ana.d_means),
-        "log_scale": (scene.log_scales, ana.d_log_scales),
-        "logits": (scene.logits, ana.d_logits),
-        "rotation": (scene.rotations, ana.d_rotations),
-    }
+    fields = {"mean": "means", "log_scale": "log_scales", "logits": "logits", "rotation": "rotations"}
+    all_groups = {name: (getattr(scene, f), getattr(ana, "d_" + f)) for name, f in fields.items()}
     if groups is None:
         selected = all_groups
     else:
@@ -211,20 +206,9 @@ def check_gradients(scene: GaussianScene, target: OccupancyGrid, params: SplatPa
         selected = {name: all_groups[name] for name in all_groups if name in groups}
 
     def loss_with(name, flat_idx, value):
-        arrays = {
-            "mean": scene.means.copy(),
-            "log_scale": scene.log_scales.copy(),
-            "logits": scene.logits.copy(),
-            "rotation": scene.rotations.copy(),
-        }
-        arrays[name].flat[flat_idx] = value
-        s = scene.with_arrays(
-            means=arrays["mean"],
-            log_scales=arrays["log_scale"],
-            logits=arrays["logits"],
-            rotations=arrays["rotation"],
-        )
-        return occupancy_loss(s, target, params)
+        a = getattr(scene, fields[name]).copy()
+        a.flat[flat_idx] = value
+        return occupancy_loss(scene.with_arrays(**{fields[name]: a}), target, params)
 
     report = {}
     for name, (base, analytic) in selected.items():

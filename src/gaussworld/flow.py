@@ -27,6 +27,12 @@ def wrap_angle(psi):
     return r
 
 
+def yaw_matrix(psi):
+    """3×3 rotation by psi about the z axis."""
+    c, s = math.cos(psi), math.sin(psi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 @dataclass(frozen=True)
 class Waypoint:
     """Planar ego pose (x, y, yaw) in the current ego frame."""
@@ -126,9 +132,7 @@ def apply_flow(scene: GaussianScene, flow_step, cfg: ClassConfig = None):
 
 def ego_transform(scene: GaussianScene, w: Waypoint):
     """Re-express the scene in the ego frame located at waypoint w (SE(2) lifted to 3D)."""
-    c, s = math.cos(-w.psi), math.sin(-w.psi)
-    Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    means = (scene.means - np.array([w.x, w.y, 0.0])) @ Rz.T
+    means = (scene.means - np.array([w.x, w.y, 0.0])) @ yaw_matrix(-w.psi).T
     half = -0.5 * w.psi
     q_yaw = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
     rotations = (
@@ -165,9 +169,7 @@ def copy_paste_forecast(current: OccupancyGrid, w: Waypoint):
     """
     spec = current.spec
     centers = voxel_centers(spec)
-    c, s = math.cos(w.psi), math.sin(w.psi)
-    Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    src = centers @ Rz.T + np.array([w.x, w.y, 0.0])
+    src = centers @ yaw_matrix(w.psi).T + np.array([w.x, w.y, 0.0])
     ijk = np.floor((src - np.array(spec.origin)) / spec.voxel_size).astype(np.int64)
     nx, ny, nz = spec.dims
     ok = (

@@ -1,8 +1,7 @@
-"""Voxel grid specification, dense occupancy label grids, and a spatial hash index.
+"""Voxel grid specification, voxel centers, and dense occupancy label grids.
 
-The index maps coarse cells to the Gaussians whose conservative bounding boxes
-touch them, so splatting can gather a superset of the true contributors per
-voxel without an all-pairs sweep.
+Voxels are cubes laid out x-fastest: flat index i + nx·(j + ny·k). Labels are
+one byte per voxel, with EMPTY marking unoccupied space.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMPTY, GaussianScene
+from .core import EMPTY
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,8 @@ def voxel_center(spec: GridSpec, ijk):
 def voxel_centers(spec: GridSpec):
     """All voxel centers, shape (num_voxels, 3), x-fastest flat order."""
     nx, ny, nz = spec.dims
-    i = np.arange(nx)
-    j = np.arange(ny)
-    k = np.arange(nz)
-    I, J, K = np.meshgrid(i, j, k, indexing="ij")
-    ijk = np.stack([I, J, K], axis=-1).reshape(-1, 3)
-    # reorder from ijk-major to x-fastest flat layout
-    flat = ijk[:, 0] + nx * (ijk[:, 1] + ny * ijk[:, 2])
-    out = np.empty((spec.num_voxels, 3))
-    out[flat] = np.array(spec.origin) + (ijk + 0.5) * spec.voxel_size
-    return out
+    k, j, i = np.indices((nz, ny, nx)).reshape(3, -1)
+    return np.array(spec.origin) + (np.stack([i, j, k], axis=1) + 0.5) * spec.voxel_size
 
 
 @dataclass(frozen=True)
@@ -121,59 +112,3 @@ class OccupancyGrid:
         """Labels reshaped to (nx, ny, nz)."""
         nx, ny, nz = self.spec.dims
         return self.labels.reshape(nz, ny, nx).transpose(2, 1, 0)
-
-
-def gaussian_aabb_radii(scene: GaussianScene, kappa):
-    """Conservative per-axis half-width κ·exp(max log_scale); valid for any rotation."""
-    if len(scene) == 0:
-        return np.zeros(0)
-    return kappa * np.exp(np.max(scene.log_scales, axis=1))
-
-
-@dataclass(frozen=True)
-class SpatialIndex:
-    """Hash from coarse integer cells to sorted Gaussian index lists.
-
-    Superset guarantee: any Gaussian within Mahalanobis κ of a voxel center is
-    listed for the cell containing that center (bounding boxes are conservative).
-    """
-
-    cell_size: float
-    cells: dict  # (cx,cy,cz) -> sorted tuple of Gaussian indices
-    origin: tuple
-    kappa: float
-
-    def cell_of(self, point):
-        p = (np.asarray(point, dtype=np.float64) - np.array(self.origin)) / self.cell_size
-        return tuple(int(v) for v in np.floor(p))
-
-
-def build_index(scene: GaussianScene, spec: GridSpec, kappa, cell_size=None):
-    """Hash every Gaussian into the coarse cells its κ-radius AABB overlaps."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if cell_size is None:
-        cell_size = 4.0 * spec.voxel_size
-    origin = spec.origin
-    cells: dict = {}
-    radii = gaussian_aabb_radii(scene, kappa)
-    o = np.array(origin)
-    for gi in range(len(scene)):
-        lo = np.floor((scene.means[gi] - radii[gi] - o) / cell_size).astype(int)
-        hi = np.floor((scene.means[gi] + radii[gi] - o) / cell_size).astype(int)
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                for cz in range(lo[2], hi[2] + 1):
-                    cells.setdefault((cx, cy, cz), []).append(gi)
-    return SpatialIndex(
-        cell_size=float(cell_size),
-        cells={c: tuple(v) for c, v in cells.items()},
-        origin=origin,
-        kappa=float(kappa),
-    )
-
-
-def candidates(index: SpatialIndex, spec: GridSpec, ijk):
-    """Sorted, duplicate-free candidate Gaussian indices for voxel ijk."""
-    center = voxel_center(spec, ijk)
-    return list(index.cells.get(index.cell_of(center), ()))

@@ -59,13 +59,15 @@ def load_scene(path):
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise FormatError(f"malformed scene document: {e}") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"scene document must be a JSON object, not {type(doc).__name__}")
     if doc.get("format") != SCENE_FORMAT:
         raise FormatError(f"unexpected format field {doc.get('format')!r}")
     if doc.get("version") != SCENE_VERSION:
         raise FormatError(f"unsupported version {doc.get('version')!r}")
     for key in ("class_names", "gaussians"):
-        if key not in doc:
-            raise FormatError(f"missing field {key!r}")
+        if not isinstance(doc.get(key), list):
+            raise FormatError(f"field {key!r} is missing or not a list")
     class_names = tuple(doc["class_names"])
     C = len(class_names)
     gs = doc["gaussians"]
@@ -73,21 +75,24 @@ def load_scene(path):
     log_scales = np.zeros((len(gs), 3))
     rotations = np.zeros((len(gs), 4))
     logits = np.zeros((len(gs), C))
-    for i, g in enumerate(gs):
-        for key, width in (("mu", 3), ("log_scale", 3), ("quat", 4), ("logits", C)):
-            if key not in g or len(g[key]) != width:
-                raise FormatError(f"gaussian {i}: field {key!r} must have {width} entries")
-        means[i] = g["mu"]
-        log_scales[i] = g["log_scale"]
-        rotations[i] = g["quat"]
-        logits[i] = g["logits"]
+    try:
+        for i, g in enumerate(gs):
+            for key, width in (("mu", 3), ("log_scale", 3), ("quat", 4), ("logits", C)):
+                if key not in g or len(g[key]) != width:
+                    raise ValueError(f"field {key!r} must have {width} entries")
+            means[i] = g["mu"]
+            log_scales[i] = g["log_scale"]
+            rotations[i] = g["quat"]
+            logits[i] = g["logits"]
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"gaussian {i}: {e}") from e
     return GaussianScene(
         means,
         log_scales,
         rotations,
         logits,
         class_names,
-        tuple(doc.get("frame_pose", (0.0, 0.0, 0.0))),
+        doc.get("frame_pose", (0.0, 0.0, 0.0)),
         int(doc.get("timestamp_index", 0)),
     )
 

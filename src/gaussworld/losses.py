@@ -252,8 +252,3 @@ def planning_loss(plan: Trajectory, gt_plan: Trajectory, weights: LossWeights, p
             raise ValueError("prediction term requires its precomputed value")
         total += weights.pred * float(pred_loss_value)
     return float(total)
-
-
-def total_loss(j_perc, j_pred, j_plan):
-    """Unweighted sum of the three composite objectives."""
-    return float(j_perc) + float(j_pred) + float(j_plan)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import rects_overlap
+from .boxes import points_in_rect, rects_overlap
 from .core import EMPTY
 from .flow import Trajectory, Waypoint, compose
 from .grid import OccupancyGrid, voxel_centers
@@ -75,22 +74,13 @@ class CollisionScenario:
     z_slab: tuple = (0.2, 2.0)
 
 
-def _footprint_hits_grid(grid: OccupancyGrid, rel: Waypoint, footprint, obstacle_ids, z_slab):
+def footprint_mask(grid: OccupancyGrid, occupied, pose: Waypoint, footprint, z_slab):
+    """Mask of `occupied` voxels centered in the z slab and under the (length, width) footprint at pose."""
     centers = voxel_centers(grid.spec)
-    labels = grid.labels
-    occupied = labels != EMPTY
-    if obstacle_ids:
-        occupied &= np.isin(labels, sorted(obstacle_ids))
-    occupied &= (centers[:, 2] >= z_slab[0]) & (centers[:, 2] <= z_slab[1])
-    if not np.any(occupied):
-        return False
-    pts = centers[occupied]
-    c, s = math.cos(rel.psi), math.sin(rel.psi)
-    dx = pts[:, 0] - rel.x
-    dy = pts[:, 1] - rel.y
-    lx = c * dx + s * dy
-    ly = -s * dx + c * dy
-    return bool(np.any((np.abs(lx) <= footprint[0] / 2.0) & (np.abs(ly) <= footprint[1] / 2.0)))
+    mask = occupied & (centers[:, 2] >= z_slab[0]) & (centers[:, 2] <= z_slab[1])
+    idx = np.flatnonzero(mask)
+    mask[idx] = points_in_rect(centers[idx], pose.x, pose.y, pose.psi, footprint[0] / 2.0, footprint[1] / 2.0)
+    return mask
 
 
 def _collides_at_step(plan: Trajectory, scenario: CollisionScenario, step, footprint):
@@ -106,10 +96,11 @@ def _collides_at_step(plan: Trajectory, scenario: CollisionScenario, step, footp
         ego_frame = (
             scenario.gt_ego.waypoints[step - 1] if scenario.gt_ego is not None else Waypoint.identity()
         )
+        occupied = grid.labels != EMPTY
+        if scenario.obstacle_class_ids:
+            occupied &= np.isin(grid.labels, sorted(scenario.obstacle_class_ids))
         rel = compose(ego_frame.inverse(), w)
-        if _footprint_hits_grid(
-            grid, rel, footprint, scenario.obstacle_class_ids, scenario.z_slab
-        ):
+        if np.any(footprint_mask(grid, occupied, rel, footprint, scenario.z_slab)):
             return True
     return False
 

@@ -10,13 +10,14 @@ lower index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .core import EMPTY, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint, forecast
-from .grid import GridSpec, OccupancyGrid, voxel_centers
+from .grid import GridSpec, OccupancyGrid
+from .metrics import footprint_mask
 from .splat import SplatParams, splat
 
 
@@ -44,6 +45,16 @@ class PlannerConfig:
                 raise ValueError("weights must be >= 0")
         object.__setattr__(self, "speeds", tuple(float(v) for v in self.speeds))
         object.__setattr__(self, "curvatures", tuple(float(v) for v in self.curvatures))
+        object.__setattr__(self, "drivable_class_ids", frozenset(int(v) for v in self.drivable_class_ids))
+        object.__setattr__(self, "z_slab", tuple(float(v) for v in self.z_slab))
+
+    @classmethod
+    def from_dict(cls, doc):
+        """Config from a JSON object; keys that name no field raise ValueError."""
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown planner config keys {unknown}")
+        return cls(**doc)
 
     @property
     def num_candidates(self):
@@ -76,14 +87,11 @@ def sample_candidates(cfg: PlannerConfig, reference: Trajectory = None):
 
 def _collision_count(grid: OccupancyGrid, cfg: PlannerConfig):
     # forecast grids are already in the planned ego frame: footprint sits at the origin
-    centers = voxel_centers(grid.spec)
     occupied = grid.labels != EMPTY
     if cfg.drivable_class_ids:
         occupied &= ~np.isin(grid.labels, sorted(cfg.drivable_class_ids))
-    occupied &= (centers[:, 2] >= cfg.z_slab[0]) & (centers[:, 2] <= cfg.z_slab[1])
-    occupied &= np.abs(centers[:, 0]) <= cfg.footprint_length / 2.0
-    occupied &= np.abs(centers[:, 1]) <= cfg.footprint_width / 2.0
-    return int(np.count_nonzero(occupied))
+    footprint = (cfg.footprint_length, cfg.footprint_width)
+    return int(np.count_nonzero(footprint_mask(grid, occupied, Waypoint.identity(), footprint, cfg.z_slab)))
 
 
 def _comfort(plan: Trajectory):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EMPTY, ClassConfig, GaussianScene, quat_to_rot
-from .grid import GridSpec, OccupancyGrid, gaussian_aabb_radii, voxel_centers
+from .grid import GridSpec, OccupancyGrid, voxel_centers
 
 PROB_FLOOR = 1e-12
 
@@ -28,7 +28,6 @@ PROB_FLOOR = 1e-12
 class SplatParams:
     cfg: ClassConfig
     use_index: bool = True  # restrict each Gaussian to its cutoff bounding box
-    store_fields: bool = False
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,8 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
     """
     dims = np.array(spec.dims)
     if use_index:
-        r, o, vs = gaussian_aabb_radii(scene, kappa)[:, None], np.array(spec.origin), spec.voxel_size
+        r = kappa * np.exp(np.max(scene.log_scales, axis=1))[:, None]  # κ·max(scale) bounds any rotation
+        o, vs = np.array(spec.origin), spec.voxel_size
         lo = np.maximum(np.ceil((scene.means - r - o) / vs - 0.5).astype(int), 0)
         hi = np.minimum(np.floor((scene.means + r - o) / vs - 0.5).astype(int), dims - 1)
     else:
@@ -128,14 +128,13 @@ def labels_from_field(F, empty_evidence):
 def splat(scene: GaussianScene, spec: GridSpec, params: SplatParams):
     """Rasterize the scene to an occupancy label grid.
 
-    Returns (OccupancyGrid, F) where F is the dense per-class evidence when
-    params.store_fields is set, else None.
+    Returns (OccupancyGrid, F) where F is the dense per-class evidence.
     """
     if len(scene) and scene.num_classes != params.cfg.num_classes:
         raise ValueError("scene class count does not match splat config")
     F = evidence_field(scene, spec, params)
     grid = OccupancyGrid(spec, labels_from_field(F, params.cfg.empty_evidence))
-    return grid, (F if params.store_fields else None)
+    return grid, F
 
 
 def _cross_entropy(F, target: OccupancyGrid, cfg: ClassConfig, with_grad=False):

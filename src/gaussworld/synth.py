@@ -8,11 +8,14 @@ fitted at the first step.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import io as gio
 from .boxes import Box, points_in_box
 from .core import EMPTY, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint
@@ -222,10 +225,8 @@ def config_to_dict(cfg: ScenarioConfig):
 
 
 def config_from_dict(doc):
-    from .grid import GridSpec as _GridSpec
-
     try:
-        spec = _GridSpec(
+        spec = GridSpec(
             tuple(doc["spec"]["origin"]), tuple(doc["spec"]["dims"]), doc["spec"]["voxel_size"]
         )
         layout = None
@@ -260,11 +261,6 @@ def config_from_dict(doc):
 
 def save_scenario(directory, scenario: Scenario):
     """Write the bundle: scenario.json plus one grid file per step."""
-    import json
-    import os
-
-    from . import io as gio
-
     os.makedirs(directory, exist_ok=True)
     doc = {
         "format": "gauss-scenario",
@@ -289,11 +285,6 @@ def save_scenario(directory, scenario: Scenario):
 
 
 def load_scenario(directory):
-    import json
-    import os
-
-    from . import io as gio
-
     with open(os.path.join(directory, "scenario.json")) as f:
         doc = json.load(f)
     if doc.get("format") != "gauss-scenario" or doc.get("version") != 1:

@@ -116,8 +116,8 @@ def test_criterion_2_splatting_oracle_equivalence():
         dim = int(rng.choice([16, 24, 32]))
         spec = GridSpec((0, 0, 0), (dim, dim, dim), 4.0 / dim)
         scene = random_scene(rng, n, lo=0.0, hi=4.0)
-        gs, fs = splat(scene, spec, SplatParams(ClassConfig(3), use_index=True, store_fields=True))
-        gb, fb = splat(scene, spec, SplatParams(ClassConfig(3), use_index=False, store_fields=True))
+        gs, fs = splat(scene, spec, SplatParams(ClassConfig(3), use_index=True))
+        gb, fb = splat(scene, spec, SplatParams(ClassConfig(3), use_index=False))
         labels_equal &= bool(np.array_equal(gs.labels, gb.labels))
         max_field_diff = max(max_field_diff, float(np.max(np.abs(fs - fb))))
     elapsed = time.time() - t0

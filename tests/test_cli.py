@@ -4,7 +4,11 @@ import os
 
 import pytest
 
-from gaussworld.cli import main
+import numpy as np
+
+from gaussworld.cli import _load_spec, main
+from gaussworld.core import GaussianScene
+from gaussworld.flow import FlowField
 from gaussworld import io as gio
 
 
@@ -235,3 +239,50 @@ class TestErrors:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([SPEC_DOC], "JSON object"),
+            ({**SPEC_DOC, "origin": 5}, "malformed"),
+            ({**SPEC_DOC, "voxel_size": "a"}, "malformed"),
+            ({**SPEC_DOC, "dims": [16, 8]}, "3 components"),
+            ({k: v for k, v in SPEC_DOC.items() if k != "dims"}, "dims"),
+        ],
+    )
+    def test_malformed_spec_raises_value_error(self, tmp_path, doc, match):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            _load_spec(path)
+
+
+class TestPlannerConfigFile:
+    def run_plan(self, ws, planner_doc):
+        # two tight class-1 Gaussians under the ego footprint, one at z 0.25 and one at z 1.25
+        scene = GaussianScene(
+            [[0.25, 0.25, 0.25], [0.25, 0.25, 1.25]], np.full((2, 3), np.log(0.12)),
+            [(1, 0, 0, 0)] * 2, [[0.0, 6.0]] * 2, ("ground", "wall"),
+        )
+        gio.save_scene(ws / "scene.json", scene)
+        gio.save_flows(ws / "flows.bin", FlowField.zero(1, 2))
+        (ws / "planner.json").write_text(json.dumps(planner_doc))
+        return run(
+            [
+                "plan", "--scene", ws / "scene.json", "--flows", ws / "flows.bin",
+                "--spec", ws / "spec.json", "--planner", ws / "planner.json",
+                "--out", ws / "plan.csv", "--costs", ws / "costs.csv",
+            ]
+        )
+
+    def test_z_slab_changes_collision_cost(self, workspace):
+        doc = {"speeds": [1.0], "curvatures": [0.0]}
+        collisions = []
+        for extra in ({}, {"z_slab": [1.0, 2.0]}):
+            assert self.run_plan(workspace, {**doc, **extra}) == 0
+            collisions.append(float(next(csv.DictReader((workspace / "costs.csv").open()))["collision"]))
+        assert collisions == [2.0, 1.0]
+
+    def test_unknown_key_fails_naming_it(self, workspace, capsys):
+        assert self.run_plan(workspace, {"speedz": [1.0]}) == 1
+        assert "speedz" in capsys.readouterr().err

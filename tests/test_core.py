@@ -257,3 +257,8 @@ class TestInvariants:
         GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 255)), names[:255])
         with pytest.raises(ValueError, match="255"):
             GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 256)), names)
+
+    @pytest.mark.parametrize("pose", [(1.0,), (0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0), 5, "abc", [0, {}, 0]])
+    def test_frame_pose_needs_three_finite_values(self, pose):
+        with pytest.raises(ValueError, match="frame_pose"):
+            GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 1)), ("a",), pose)

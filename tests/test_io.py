@@ -70,6 +70,37 @@ class TestSceneIO:
         with pytest.raises(FormatError, match="gaussian 0"):
             load_scene(path)
 
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda d: [d], FormatError, "JSON object"),
+            (lambda d: {**d, "gaussians": 5}, FormatError, "gaussians"),
+            (lambda d: {k: v for k, v in d.items() if k != "gaussians"}, FormatError, "gaussians"),
+            (lambda d: {**d, "class_names": 3}, FormatError, "class_names"),
+            (lambda d: {**d, "gaussians": [5]}, FormatError, "gaussian 0"),
+            (lambda d: {**d, "gaussians": [d["gaussians"][0], {**d["gaussians"][1], "mu": 5}]}, FormatError, "gaussian 1"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, 0, "a", 0]}]}, FormatError, "gaussian 0"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "logits": [None, 0]}]}, ValueError, "finite"),
+            (lambda d: {**d, "frame_pose": [1.0]}, ValueError, "frame_pose"),
+            (lambda d: {**d, "frame_pose": 5}, ValueError, "frame_pose"),
+            (lambda d: {**d, "frame_pose": [0, {}, 0]}, ValueError, "frame_pose"),
+        ],
+    )
+    def test_malformed_documents_raise_typed_errors(self, edit, error, match, tmp_path):
+        import json
+
+        doc = {
+            "format": "gauss-scene",
+            "version": 1,
+            "class_names": ["a", "b"],
+            "frame_pose": [0.0, 0.0, 0.0],
+            "gaussians": [{"mu": [0, 0, 0], "log_scale": [0, 0, 0], "quat": [1, 0, 0, 0], "logits": [0, 1]}] * 2,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(doc)))
+        with pytest.raises(error, match=match):
+            load_scene(path)
+
 
 class TestGridIO:
     def test_round_trip(self, rng, tmp_path):

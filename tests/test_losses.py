@@ -18,7 +18,6 @@ from gaussworld.losses import (
     prediction_loss,
     representation_discrepancy,
     resample_polyline,
-    total_loss,
     trajectory_loss,
 )
 from gaussworld.splat import SplatParams
@@ -282,6 +281,3 @@ class TestTrajectoryAndPlanning:
         with pytest.raises(ValueError):
             planning_loss(t, t, LossWeights())
         assert planning_loss(t, t, LossWeights(pred=0)) == 0.0
-
-    def test_total_is_plain_sum(self):
-        assert total_loss(1.5, 2.0, 0.25) == pytest.approx(3.75)

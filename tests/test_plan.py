@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gaussworld.core import ClassConfig, EMPTY, GaussianScene
-from gaussworld.flow import FlowField
-from gaussworld.grid import GridSpec, OccupancyGrid
+from gaussworld.flow import FlowField, Trajectory, Waypoint
+from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
+from gaussworld.metrics import CollisionScenario, collision_rate
 from gaussworld.plan import (
     PlannerConfig,
     plan,
@@ -177,3 +178,38 @@ class TestPlannerConfig:
             PlannerConfig(footprint_width=0.0)
         with pytest.raises(ValueError):
             PlannerConfig(collision_weight=-1.0)
+
+
+class TestFromDict:
+    def test_json_lists_become_config_values(self):
+        cfg = PlannerConfig.from_dict({"speeds": [1, 2], "drivable_class_ids": [0], "z_slab": [0.5, 1]})
+        assert cfg == PlannerConfig(speeds=(1.0, 2.0), drivable_class_ids=frozenset({0}), z_slab=(0.5, 1.0))
+        assert PlannerConfig.from_dict({}) == PlannerConfig()
+
+    def test_unknown_keys_are_named(self):
+        with pytest.raises(ValueError, match="'curvature', 'speed'"):
+            PlannerConfig.from_dict({"speed": [1.0], "curvature": [0.0], "dt": 0.5})
+
+
+@pytest.mark.parametrize("seed, density", enumerate([0.0, 0.002, 0.01, 0.05, 0.2, 0.5]))
+def test_planner_and_metric_agree_at_identity_pose(seed, density):
+    # plan.score counts non-drivable voxels under the footprint; collision_rate's grid
+    # branch asks whether any obstacle voxel is under it. With class 0 drivable and
+    # classes 1-2 obstacles, both test the same voxels at the identity pose.
+    rng = np.random.default_rng(seed)
+    spec = GridSpec((-4.0, -3.0, -0.5), (16, 12, 6), 0.5)
+    labels = np.where(rng.uniform(size=spec.num_voxels) < density, rng.integers(0, 3, spec.num_voxels), EMPTY)
+    grid = OccupancyGrid(spec, labels.astype(np.uint8))
+    cfg = PlannerConfig(num_steps=1, drivable_class_ids=frozenset({0}))
+    here = Trajectory((Waypoint.identity(),))
+    count = score(here, [grid], cfg)["collision"]
+    scenario = CollisionScenario(grids=(grid,), obstacle_class_ids=frozenset({1, 2}), z_slab=cfg.z_slab)
+    rate = collision_rate([here], [scenario], horizons=(1,), footprint=(cfg.footprint_length, cfg.footprint_width))
+    c = voxel_centers(spec)
+    expected = np.count_nonzero(
+        np.isin(grid.labels, [1, 2])
+        & (np.abs(c[:, 0]) <= 2.3) & (np.abs(c[:, 1]) <= 0.95)
+        & (c[:, 2] >= 0.2) & (c[:, 2] <= 2.0)
+    )
+    assert count == expected
+    assert rate == [100.0 if expected else 0.0]

@@ -50,8 +50,8 @@ class TestSplat:
     def test_sparse_equals_brute_force(self, rng):
         spec = GridSpec((0, 0, 0), (12, 12, 12), 0.4)
         scene = random_scene(rng, 48, lo=0.0, hi=4.5)
-        sparse = SplatParams(ClassConfig(3), use_index=True, store_fields=True)
-        brute = SplatParams(ClassConfig(3), use_index=False, store_fields=True)
+        sparse = SplatParams(ClassConfig(3), use_index=True)
+        brute = SplatParams(ClassConfig(3), use_index=False)
         gs, fs = splat(scene, spec, sparse)
         gb, fb = splat(scene, spec, brute)
         assert np.array_equal(gs.labels, gb.labels)
