@@ -27,15 +27,7 @@ from . import synth
 
 def _load_spec(path):
     with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"grid spec must be a JSON object, not {type(doc).__name__}")
-    try:
-        return GridSpec(tuple(doc["origin"]), tuple(doc["dims"]), doc["voxel_size"])
-    except KeyError as e:
-        raise ValueError(f"grid spec missing key {e.args[0]!r}") from e
-    except TypeError as e:
-        raise ValueError(f"malformed grid spec: {e}") from e
+        return gio.from_dict(GridSpec, json.load(f), "grid spec")
 
 
 def _splat_params(scene, empty_evidence=0.1, cutoff=3.0):
@@ -124,7 +116,7 @@ def cmd_plan(args):
     flows = gio.load_flows(args.flows, expected_gaussians=len(scene))
     with open(args.planner) as f:
         doc = json.load(f)
-    cfg = PlannerConfig.from_dict({"num_steps": flows.num_steps, **doc})
+    cfg = gio.from_dict(PlannerConfig, {"num_steps": flows.num_steps, **doc}, "planner config")
     reference = gio.load_trajectory(args.reference) if args.reference else None
     best, table = run_planner(scene, flows, spec, cfg, _splat_params(scene), reference)
     gio.save_trajectory(args.out, best)
@@ -192,16 +184,9 @@ def cmd_eval(args):
                     obstacle_class_ids=frozenset(a.class_id for a in sc.cfg.agents),
                 )
             )
-        for h, vals in zip(
-            horizons,
-            np.mean([l2_errors(p, g, horizons, "at-step") for p, g in zip(plans, gts)], axis=0),
-        ):
-            rows.append(("l2_at_step", h, vals))
-        for h, vals in zip(
-            horizons,
-            np.mean([l2_errors(p, g, horizons, "averaged") for p, g in zip(plans, gts)], axis=0),
-        ):
-            rows.append(("l2_averaged", h, vals))
+        for mode in ("at-step", "averaged"):
+            errs = np.mean([l2_errors(p, g, horizons, mode) for p, g in zip(plans, gts)], axis=0)
+            rows += [(f"l2_{mode.replace('-', '_')}", h, v) for h, v in zip(horizons, errs)]
         for h, rate in zip(horizons, collision_rate(plans, scenarios, horizons)):
             rows.append(("collision_rate", h, rate))
     else:

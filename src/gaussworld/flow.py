@@ -171,16 +171,7 @@ def copy_paste_forecast(current: OccupancyGrid, w: Waypoint):
     centers = voxel_centers(spec)
     src = centers @ yaw_matrix(w.psi).T + np.array([w.x, w.y, 0.0])
     ijk = np.floor((src - np.array(spec.origin)) / spec.voxel_size).astype(np.int64)
-    nx, ny, nz = spec.dims
-    ok = (
-        (ijk[:, 0] >= 0)
-        & (ijk[:, 0] < nx)
-        & (ijk[:, 1] >= 0)
-        & (ijk[:, 1] < ny)
-        & (ijk[:, 2] >= 0)
-        & (ijk[:, 2] < nz)
-    )
+    ok = np.all((ijk >= 0) & (ijk < spec.dims), axis=1)
     labels = np.full(spec.num_voxels, EMPTY, dtype=np.uint8)
-    flat_src = ijk[ok, 0] + nx * (ijk[ok, 1] + ny * ijk[ok, 2])
-    labels[ok] = current.labels[flat_src]
+    labels[ok] = current.labels[spec.flat_index(*ijk[ok].T)]
     return OccupancyGrid(spec, labels)

@@ -23,7 +23,10 @@ class GridSpec:
 
     def __post_init__(self):
         o = tuple(float(v) for v in self.origin)
-        d = tuple(int(v) for v in self.dims)
+        raw = tuple(self.dims)
+        d = tuple(int(v) for v in raw)
+        if d != raw:
+            raise ValueError(f"dims must be whole numbers, not {raw}")
         if len(o) != 3 or len(d) != 3:
             raise ValueError("origin and dims must have 3 components")
         if any(n <= 0 for n in d):

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,6 +30,19 @@ TRAJECTORY_HEADER = ["step", "x", "y", "psi"]
 
 class FormatError(ValueError):
     """Malformed or unsupported file content."""
+
+
+def from_dict(cls, doc, what):
+    """Dataclass `cls` from a JSON object keyed by field names; bad input is a ValueError naming `what`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+    try:
+        return cls(**doc)
+    except TypeError as e:
+        raise ValueError(f"malformed {what}: {e}") from e
 
 
 def save_scene(path, scene: GaussianScene):
@@ -86,6 +100,9 @@ def load_scene(path):
             logits[i] = g["logits"]
     except (TypeError, ValueError) as e:
         raise FormatError(f"gaussian {i}: {e}") from e
+    timestamp_index = doc.get("timestamp_index", 0)
+    if not isinstance(timestamp_index, (int, float)):
+        raise FormatError(f"field 'timestamp_index' must be a number, not {type(timestamp_index).__name__}")
     return GaussianScene(
         means,
         log_scales,
@@ -93,7 +110,7 @@ def load_scene(path):
         logits,
         class_names,
         doc.get("frame_pose", (0.0, 0.0, 0.0)),
-        int(doc.get("timestamp_index", 0)),
+        int(timestamp_index),
     )
 
 

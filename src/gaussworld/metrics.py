@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,17 +116,11 @@ def collision_rate(plans, scenarios, horizons=(2, 4, 6), footprint=(4.6, 1.9)):
     if len(plans) != len(scenarios):
         raise ValueError("one scenario per plan is required")
     n = len(plans)
-    rates = []
-    for h in horizons:
-        hits = 0
-        for plan, scenario in zip(plans, scenarios):
-            if any(
-                _collides_at_step(plan, scenario, k, footprint)
-                for k in range(1, min(h, len(plan)) + 1)
-            ):
-                hits += 1
-        rates.append(100.0 * hits / n if n else 0.0)
-    return rates
+    first = []  # each sample's first colliding step, inf when none up to the last horizon
+    for plan, scenario in zip(plans, scenarios):
+        steps = range(1, min(max(horizons, default=0), len(plan)) + 1)
+        first.append(next((k for k in steps if _collides_at_step(plan, scenario, k, footprint)), math.inf))
+    return [100.0 * sum(f <= h for f in first) / n if n else 0.0 for h in horizons]
 
 
 def forecast_eval(pred_grids, gt_grids, horizons=(2, 4, 6)):

@@ -10,7 +10,7 @@ lower index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,14 +47,6 @@ class PlannerConfig:
         object.__setattr__(self, "curvatures", tuple(float(v) for v in self.curvatures))
         object.__setattr__(self, "drivable_class_ids", frozenset(int(v) for v in self.drivable_class_ids))
         object.__setattr__(self, "z_slab", tuple(float(v) for v in self.z_slab))
-
-    @classmethod
-    def from_dict(cls, doc):
-        """Config from a JSON object; keys that name no field raise ValueError."""
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown planner config keys {unknown}")
-        return cls(**doc)
 
     @property
     def num_candidates(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,9 @@ class AgentSpec:
     size: tuple = (4.0, 2.0, 1.6)
     speed: float = 0.0
     turn_rate: float = 0.0  # rad/s
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", tuple(self.size))
 
     def pose_at(self, t):
         """Closed-form unicycle pose (x, y, yaw) after time t."""
@@ -185,78 +188,20 @@ def generate(cfg: ScenarioConfig):
     )
 
 
-def config_to_dict(cfg: ScenarioConfig):
-    return {
-        "spec": {
-            "origin": list(cfg.spec.origin),
-            "dims": list(cfg.spec.dims),
-            "voxel_size": cfg.spec.voxel_size,
-        },
-        "num_steps": cfg.num_steps,
-        "dt": cfg.dt,
-        "seed": cfg.seed,
-        "layout": None
-        if cfg.layout is None
-        else {
-            "corridor_width": cfg.layout.corridor_width,
-            "wall_thickness": cfg.layout.wall_thickness,
-            "wall_height": cfg.layout.wall_height,
-            "ground_thickness": cfg.layout.ground_thickness,
-            "drivable_class_id": cfg.layout.drivable_class_id,
-            "wall_class_id": cfg.layout.wall_class_id,
-            "length": cfg.layout.length,
-        },
-        "agents": [
-            {
-                "class_id": a.class_id,
-                "x": a.x,
-                "y": a.y,
-                "yaw": a.yaw,
-                "size": list(a.size),
-                "speed": a.speed,
-                "turn_rate": a.turn_rate,
-            }
-            for a in cfg.agents
-        ],
-        "ego_speed": cfg.ego_speed,
-        "ego_curvature": cfg.ego_curvature,
-        "num_classes": cfg.num_classes,
-    }
-
-
 def config_from_dict(doc):
-    try:
-        spec = GridSpec(
-            tuple(doc["spec"]["origin"]), tuple(doc["spec"]["dims"]), doc["spec"]["voxel_size"]
-        )
-        layout = None
-        if doc.get("layout") is not None:
-            layout = LayoutConfig(**doc["layout"])
-        agents = tuple(
-            AgentSpec(
-                class_id=a["class_id"],
-                x=a["x"],
-                y=a["y"],
-                yaw=a.get("yaw", 0.0),
-                size=tuple(a.get("size", (4.0, 2.0, 1.6))),
-                speed=a.get("speed", 0.0),
-                turn_rate=a.get("turn_rate", 0.0),
-            )
-            for a in doc.get("agents", [])
-        )
-        return ScenarioConfig(
-            spec=spec,
-            num_steps=doc.get("num_steps", 6),
-            dt=doc.get("dt", 0.5),
-            seed=doc.get("seed", 0),
-            layout=layout,
-            agents=agents,
-            ego_speed=doc.get("ego_speed", 0.0),
-            ego_curvature=doc.get("ego_curvature", 0.0),
-            num_classes=doc.get("num_classes", 0),
-        )
-    except KeyError as e:
-        raise ValueError(f"scenario config missing key {e.args[0]!r}") from e
+    """Scenario config from a JSON object; every key, nested ones too, is a dataclass field name."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"scenario config must be a JSON object, not {type(doc).__name__}")
+    doc = dict(doc)
+    if "spec" in doc:
+        doc["spec"] = gio.from_dict(GridSpec, doc["spec"], "grid spec")
+    if doc.get("layout") is not None:
+        doc["layout"] = gio.from_dict(LayoutConfig, doc["layout"], "layout")
+    agents = doc.get("agents", ())
+    if not isinstance(agents, (list, tuple)):
+        raise ValueError(f"scenario agents must be a list, not {type(agents).__name__}")
+    doc["agents"] = tuple(gio.from_dict(AgentSpec, a, "agent") for a in agents)
+    return gio.from_dict(ScenarioConfig, doc, "scenario config")
 
 
 def save_scenario(directory, scenario: Scenario):
@@ -265,16 +210,10 @@ def save_scenario(directory, scenario: Scenario):
     doc = {
         "format": "gauss-scenario",
         "version": 1,
-        "config": config_to_dict(scenario.cfg),
+        "config": asdict(scenario.cfg),
         "num_classes": scenario.num_classes,
         "ego": [[w.x, w.y, w.psi] for w in scenario.gt_ego.waypoints],
-        "boxes": [
-            [
-                {"center": list(b.center), "size": list(b.size), "yaw": b.yaw, "class_id": b.class_id}
-                for b in step_boxes
-            ]
-            for step_boxes in scenario.gt_boxes
-        ],
+        "boxes": [[asdict(b) for b in step_boxes] for step_boxes in scenario.gt_boxes],
         "map": [[cat, np.asarray(pts).tolist()] for cat, pts in scenario.gt_map],
     }
     with open(os.path.join(directory, "scenario.json"), "w") as f:
@@ -293,12 +232,7 @@ def load_scenario(directory):
     grids = tuple(
         gio.load_grid(os.path.join(directory, f"grid_{k:03d}.occ")) for k in range(cfg.num_steps + 1)
     )
-    boxes = tuple(
-        tuple(
-            Box(tuple(b["center"]), tuple(b["size"]), b["yaw"], b["class_id"]) for b in step_boxes
-        )
-        for step_boxes in doc["boxes"]
-    )
+    boxes = tuple(tuple(gio.from_dict(Box, b, "box") for b in step_boxes) for step_boxes in doc["boxes"])
     gt_map = tuple((cat, np.array(pts)) for cat, pts in doc["map"])
     ego = Trajectory(tuple(Waypoint(*w) for w in doc["ego"]), cfg.dt)
     return Scenario(

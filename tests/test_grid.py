@@ -80,6 +80,9 @@ class TestFlatIndexing:
             GridSpec((0, 0, 0), (4, 4, 4), -1.0)
         with pytest.raises(ValueError):
             GridSpec((0, 0, 0), (2048, 2048, 2048), 0.1)
+        with pytest.raises(ValueError, match="dims"):
+            GridSpec((0, 0, 0), (1.5, 2, 3), 1.0)
+        assert GridSpec((0, 0, 0), (2.0, 2, 3), 1.0).dims == (2, 2, 3)
 
 
 class TestOccupancyGrid:

@@ -84,6 +84,7 @@ class TestSceneIO:
             (lambda d: {**d, "frame_pose": [1.0]}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": 5}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": [0, {}, 0]}, ValueError, "frame_pose"),
+            (lambda d: {**d, "timestamp_index": [1]}, FormatError, "timestamp_index"),
         ],
     )
     def test_malformed_documents_raise_typed_errors(self, edit, error, match, tmp_path):

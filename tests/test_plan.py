@@ -6,6 +6,7 @@ import pytest
 from gaussworld.core import ClassConfig, EMPTY, GaussianScene
 from gaussworld.flow import FlowField, Trajectory, Waypoint
 from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
+from gaussworld.io import from_dict
 from gaussworld.metrics import CollisionScenario, collision_rate
 from gaussworld.plan import (
     PlannerConfig,
@@ -182,13 +183,14 @@ class TestPlannerConfig:
 
 class TestFromDict:
     def test_json_lists_become_config_values(self):
-        cfg = PlannerConfig.from_dict({"speeds": [1, 2], "drivable_class_ids": [0], "z_slab": [0.5, 1]})
+        doc = {"speeds": [1, 2], "drivable_class_ids": [0], "z_slab": [0.5, 1]}
+        cfg = from_dict(PlannerConfig, doc, "planner config")
         assert cfg == PlannerConfig(speeds=(1.0, 2.0), drivable_class_ids=frozenset({0}), z_slab=(0.5, 1.0))
-        assert PlannerConfig.from_dict({}) == PlannerConfig()
+        assert from_dict(PlannerConfig, {}, "planner config") == PlannerConfig()
 
     def test_unknown_keys_are_named(self):
         with pytest.raises(ValueError, match="'curvature', 'speed'"):
-            PlannerConfig.from_dict({"speed": [1.0], "curvature": [0.0], "dt": 0.5})
+            from_dict(PlannerConfig, {"speed": [1.0], "curvature": [0.0], "dt": 0.5}, "planner config")
 
 
 @pytest.mark.parametrize("seed, density", enumerate([0.0, 0.002, 0.01, 0.05, 0.2, 0.5]))

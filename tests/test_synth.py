@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from gaussworld.synth import (
     LayoutConfig,
     ScenarioConfig,
     config_from_dict,
-    config_to_dict,
     generate,
     gt_flows,
     layout_boxes,
@@ -162,12 +163,32 @@ class TestConfigRoundTrip:
             ego_curvature=0.05,
             seed=11,
         )
-        back = config_from_dict(config_to_dict(cfg))
+        back = config_from_dict(asdict(cfg))
         assert back == cfg
 
     def test_missing_key_raises(self):
         with pytest.raises(ValueError):
             config_from_dict({"num_steps": 3})
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: [d], "JSON object"),
+            (lambda d: {**d, "spec": 5}, "grid spec"),
+            (lambda d: {**d, "agents": [5]}, "agent"),
+            (lambda d: {**d, "agents": 5}, "agents"),
+            (lambda d: {**d, "agent": []}, "unknown scenario config keys"),
+            (lambda d: {**d, "layout": {**d["layout"], "width": 8.0}}, "unknown layout keys"),
+            (lambda d: {**d, "agents": [{**d["agents"][0], "heading": 0.0}]}, "unknown agent keys"),
+            (lambda d: {k: v for k, v in d.items() if k != "spec"}, "spec"),
+            (lambda d: {**d, "spec": {**d["spec"], "dims": [48, 24.5, 6]}}, "dims"),
+        ],
+    )
+    def test_malformed_configs_raise_value_error(self, edit, match):
+        cfg = corridor_cfg(agents=(AgentSpec(class_id=2, x=6.0, y=-1.0),))
+        doc = json.loads(json.dumps(asdict(cfg)))
+        with pytest.raises(ValueError, match=match):
+            config_from_dict(edit(doc))
 
 
 class TestScenarioIO:
