@@ -116,7 +116,8 @@ def cmd_plan(args):
     flows = gio.load_flows(args.flows, expected_gaussians=len(scene))
     with open(args.planner) as f:
         doc = json.load(f)
-    cfg = gio.from_dict(PlannerConfig, {"num_steps": flows.num_steps, **doc}, "planner config")
+    doc = {"num_steps": flows.num_steps, **doc} if isinstance(doc, dict) else doc  # from_dict rejects a non-object
+    cfg = gio.from_dict(PlannerConfig, doc, "planner config")
     reference = gio.load_trajectory(args.reference) if args.reference else None
     best, table = run_planner(scene, flows, spec, cfg, _splat_params(scene), reference)
     gio.save_trajectory(args.out, best)

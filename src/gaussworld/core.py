@@ -238,6 +238,13 @@ class ClassConfig:
         object.__setattr__(self, "dynamic_class_ids", ids)
 
 
+def dynamic_mask(scene: GaussianScene, cfg: ClassConfig):
+    """True where a Gaussian's argmax class is one of cfg's dynamic classes."""
+    if len(scene) == 0:
+        return np.zeros(0, dtype=bool)
+    return np.isin(np.argmax(scene.logits, axis=1), sorted(cfg.dynamic_class_ids))
+
+
 def covariance(log_scale, rotation):
     """Covariance Σ = R·diag(exp(2·log_scale))·Rᵀ. Always SPD for clamped scales."""
     ls = np.asarray(log_scale, dtype=np.float64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClassConfig, GaussianScene, quat_normalize
+from .core import ClassConfig, GaussianScene, dynamic_mask, quat_normalize
 from .flow import FlowField, Trajectory, apply_flow, ego_transform, yaw_matrix
 from .grid import GridSpec, OccupancyGrid
 from .splat import SplatParams, occupancy_loss, occupancy_loss_and_grads
@@ -134,13 +134,6 @@ def fit_gaussians(target: OccupancyGrid, cfg: FitConfig, init_scene=None, class_
         raise OptimizationError(cfg.max_iters)
     history.append(final)
     return scene, history
-
-
-def dynamic_mask(scene: GaussianScene, cfg: ClassConfig):
-    """True where a Gaussian's argmax class is dynamic."""
-    if len(scene) == 0:
-        return np.zeros(0, dtype=bool)
-    return np.isin(np.argmax(scene.logits, axis=1), sorted(cfg.dynamic_class_ids))
 
 
 def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitConfig):

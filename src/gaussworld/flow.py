@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EMPTY, ClassConfig, GaussianScene, quat_multiply
+from .core import EMPTY, ClassConfig, GaussianScene, dynamic_mask, quat_multiply
 from .grid import OccupancyGrid, voxel_centers
 
 
@@ -124,9 +124,8 @@ def apply_flow(scene: GaussianScene, flow_step, cfg: ClassConfig = None):
     disp = np.asarray(flow_step, dtype=np.float64)
     if disp.shape != (len(scene), 3):
         raise ValueError(f"flow step shape {disp.shape} != ({len(scene)}, 3)")
-    if cfg is not None and cfg.dynamic_class_ids and len(scene):
-        dynamic = np.isin(np.argmax(scene.logits, axis=1), sorted(cfg.dynamic_class_ids))
-        disp = np.where(dynamic[:, None], disp, 0.0)
+    if cfg is not None and cfg.dynamic_class_ids:
+        disp = np.where(dynamic_mask(scene, cfg)[:, None], disp, 0.0)
     return scene.with_arrays(means=scene.means + disp)
 
 

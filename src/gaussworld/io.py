@@ -190,9 +190,14 @@ def load_trajectory(path, dt=0.5):
         missing = [c for c in TRAJECTORY_HEADER if reader.fieldnames is None or c not in reader.fieldnames]
         if missing:
             raise FormatError(f"trajectory CSV missing column {missing[0]!r}")
-        rows = sorted(reader, key=lambda r: int(r["step"]))
+        rows = list(reader)
     if not rows:
         raise FormatError("trajectory CSV has no waypoints")
+    for n, r in enumerate(rows, start=1):
+        short = [c for c in TRAJECTORY_HEADER if r[c] is None]
+        if short:
+            raise FormatError(f"trajectory CSV row {n} has no {short[0]!r} value")
+    rows.sort(key=lambda r: int(r["step"]))
     for k, r in enumerate(rows, start=1):
         if int(r["step"]) != k:
             raise FormatError(f"trajectory steps must be 1..{len(rows)}: step {r['step']} found where step {k} belongs")

@@ -6,10 +6,10 @@ evidence, together with a fixed empty-evidence mass, as a (C+1)-way
 distribution per voxel and scores it against a target label grid; gradients
 with respect to every Gaussian parameter are exact derivatives of that scalar.
 
-Both passes run one block kernel that groups Gaussians by the shape of their
-voxel block and evaluates a chunk at a time with batched matmuls. The forward
-pass sums each voxel's terms in ascending Gaussian order, so the evidence is
-bit-identical to a per-Gaussian loop.
+One block kernel groups Gaussians by voxel-block shape and evaluates a chunk at
+a time with batched matmuls, once per loss evaluation: the backward pass reduces
+over the pairs inside the κ cutoff that the forward pass found. Voxels sum their
+terms in ascending Gaussian order, bit-identical to a per-Gaussian loop.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ _CHUNK_PAIRS = 1 << 14  # Gaussian-voxel pairs per kernel chunk; bounds the tran
 
 
 def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
-    """Yield (g, flat, d, u, q) for chunks of Gaussians that share one block shape.
+    """Yield (g, flat, u, q) for chunks of Gaussians that share one block shape.
 
     Each Gaussian's block is the voxel box within κ·max(scale) of its mean,
     clipped to the grid (the whole grid when use_index is off). g (B,) holds
     ascending Gaussian indices, flat (B, n) their block voxels in i-slowest
-    order, d = center − mean and u = Rᵀd (B, n, 3), and q (B, n) the squared
+    order, u = Rᵀ(center − mean) (B, n, 3), and q (B, n) the squared
     Mahalanobis distances. Batched matmul runs the same BLAS call per Gaussian
     as a per-Gaussian loop would, so every value is bit-identical to one.
     """
@@ -86,35 +86,34 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
             d -= scene.means[g][:, None, :]
             u = d @ rots[g]
             q = ((u * u) @ s2inv[g][:, :, None])[..., 0]
-            yield g, flat, d, u, q
+            yield g, flat, u, q
 
 
 def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams):
-    """Dense per-class evidence F, shape (num_voxels, C), κ cutoff applied.
+    """Dense per-class evidence F (num_voxels, C) and the pairs inside the κ cutoff.
 
-    Each voxel sums its terms in ascending Gaussian order, exactly as a
-    per-Gaussian scatter-add would.
+    pairs holds one (g, gi, flat, u, q) per kernel chunk: its ascending Gaussians g
+    and, per inside pair, the Gaussian, the voxel, u and q. Each voxel sums its terms
+    in ascending Gaussian order, exactly as a per-Gaussian scatter-add would.
     """
     cfg = params.cfg
     M = spec.num_voxels
     F = np.zeros((M, cfg.num_classes))
     k2 = cfg.mahalanobis_cutoff**2
-    gs, flats, qs = [], [], []
-    for g, flat, _, _, q in _block_chunks(scene, spec, cfg.mahalanobis_cutoff, params.use_index):
-        b, v = np.nonzero(q <= k2)
-        gs.append(g[b])
-        flats.append(flat[b, v])
-        qs.append(q[b, v])
-    if not gs:
-        return F
-    gi = np.concatenate(gs)
+    pairs = []
+    for g, flat, u, q in _block_chunks(scene, spec, cfg.mahalanobis_cutoff, params.use_index):
+        i = np.flatnonzero(q <= k2)  # 1-D takes: cheaper than gathering with a 2-D mask
+        pairs.append((g, g[i // q.shape[1]], flat.take(i), u.reshape(-1, 3).take(i, axis=0), q.take(i)))
+    if not pairs:
+        return F, pairs
+    gi = np.concatenate([p[1] for p in pairs])
     order = np.argsort(gi, kind="stable")
-    gi, flat = gi[order], np.concatenate(flats)[order]
-    rho = np.exp(-0.5 * np.concatenate(qs)[order])
+    gi, flat = gi[order], np.concatenate([p[2] for p in pairs])[order]
+    rho = np.exp(-0.5 * np.concatenate([p[4] for p in pairs])[order])
     probs = scene.class_probs()
     for c in range(cfg.num_classes):
         F[:, c] = np.bincount(flat, weights=rho * probs[gi, c], minlength=M)
-    return F
+    return F, pairs
 
 
 def labels_from_field(F, empty_evidence):
@@ -132,7 +131,7 @@ def splat(scene: GaussianScene, spec: GridSpec, params: SplatParams):
     """
     if len(scene) and scene.num_classes != params.cfg.num_classes:
         raise ValueError("scene class count does not match splat config")
-    F = evidence_field(scene, spec, params)
+    F = evidence_field(scene, spec, params)[0]
     grid = OccupancyGrid(spec, labels_from_field(F, params.cfg.empty_evidence))
     return grid, F
 
@@ -170,7 +169,7 @@ def _cross_entropy(F, target: OccupancyGrid, cfg: ClassConfig, with_grad=False):
 
 def occupancy_loss(scene: GaussianScene, target: OccupancyGrid, params: SplatParams):
     """Loss value only; same objective as occupancy_loss_and_grads."""
-    return _cross_entropy(evidence_field(scene, target.spec, params), target, params.cfg)
+    return _cross_entropy(evidence_field(scene, target.spec, params)[0], target, params.cfg)
 
 
 # quaternion -> rotation-matrix Jacobians for unit quaternions (w,x,y,z): (N,4) -> (N,4,3,3)
@@ -197,23 +196,23 @@ def occupancy_loss_and_grads(scene: GaussianScene, target: OccupancyGrid, params
     cfg = params.cfg
     C = cfg.num_classes
     N = len(scene)
-    F = evidence_field(scene, target.spec, params)
+    F, pairs = evidence_field(scene, target.spec, params)
     loss, dLdF = _cross_entropy(F, target, cfg, with_grad=True)
 
     probs = scene.class_probs()
     s2inv = np.exp(-2.0 * scene.log_scales)
-    k2 = cfg.mahalanobis_cutoff**2
+    centers = voxel_centers(target.spec)  # d = center − mean repeats the kernel's bits
     # per Gaussian: Σw·a | Σw·u² | Σρ·dL/dF | Σw·d⊗a, with w = dL/dρ·ρ and a = S⁻²·Rᵀd
     sums = np.zeros((N, 15 + C))
-    for g, flat, d, u, q in _block_chunks(scene, target.spec, cfg.mahalanobis_cutoff, params.use_index):
-        b, v = np.nonzero(q <= k2)
-        u, d, gdF = u[b, v], d[b, v], dLdF[flat[b, v]]
-        rho = np.exp(-0.5 * q[b, v])
-        w = np.einsum("pc,pc->p", gdF, probs[g[b]]) * rho
-        wa = w[:, None] * (u * s2inv[g[b]])
+    for g, gi, flat, u, q in pairs:
+        d, gdF = centers[flat] - scene.means[gi], dLdF[flat]
+        rho = np.exp(-0.5 * q)
+        w = np.einsum("pc,pc->p", gdF, probs[gi]) * rho
+        wa = w[:, None] * (u * s2inv[gi])
         dwa = (d[:, :, None] * wa[:, None, :]).reshape(-1, 9)
         terms = np.concatenate([wa, w[:, None] * u * u, rho[:, None] * gdF, dwa], axis=1)
         K = terms.shape[1]
+        b = np.searchsorted(g, gi)  # each pair's row in g
         sums[g] = np.bincount((b[:, None] * K + np.arange(K)).ravel(), terms.ravel(), g.size * K).reshape(-1, K)
     sum_wa, sum_wuu, dLdp = sums[:, :3], sums[:, 3:6], sums[:, 6 : 6 + C]
     dLdR = -sums[:, 6 + C :].reshape(N, 3, 3)  # dρ/dR = -ρ·d·aᵀ

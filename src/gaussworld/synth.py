@@ -226,8 +226,13 @@ def save_scenario(directory, scenario: Scenario):
 def load_scenario(directory):
     with open(os.path.join(directory, "scenario.json")) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"scenario bundle must be a JSON object, not {type(doc).__name__}")
     if doc.get("format") != "gauss-scenario" or doc.get("version") != 1:
         raise ValueError("unsupported scenario bundle")
+    missing = [k for k in ("config", "boxes", "map", "ego") if k not in doc]
+    if missing:
+        raise ValueError(f"scenario bundle has no {missing[0]!r}")
     cfg = config_from_dict(doc["config"])
     grids = tuple(
         gio.load_grid(os.path.join(directory, f"grid_{k:03d}.occ")) for k in range(cfg.num_steps + 1)

@@ -288,3 +288,7 @@ class TestPlannerConfigFile:
     def test_unknown_key_fails_naming_it(self, workspace, capsys):
         assert self.run_plan(workspace, {"speedz": [1.0]}) == 1
         assert "speedz" in capsys.readouterr().err
+
+    def test_non_object_fails_with_value_error(self, workspace, capsys):
+        assert self.run_plan(workspace, [1]) == 1
+        assert "planner config must be a JSON object, not list" in capsys.readouterr().err

@@ -91,6 +91,12 @@ class TestApplyFlow:
         assert np.allclose(out.means[1], scene.means[1] + [0.5, 0.5, 0.0])
         assert np.allclose(out.means[2], scene.means[2])
 
+    def test_empty_dynamic_set_moves_every_gaussian(self, rng):
+        scene = random_scene(rng, 4)
+        flow = rng.normal(size=(4, 3))
+        out = apply_flow(scene, flow, ClassConfig(3))
+        assert np.array_equal(out.means, scene.means + flow)
+
     def test_length_mismatch(self, rng):
         scene = random_scene(rng, 4)
         with pytest.raises(ValueError):

@@ -223,6 +223,14 @@ class TestTrajectoryIO:
         with pytest.raises(FormatError, match="psi"):
             load_trajectory(path)
 
+    @pytest.mark.parametrize("rows, bad", [("1,0.5,0.1\n", "row 1 has no 'psi'"),
+                                           ("1,0,0,0\n2\n", "row 2 has no 'x'")])
+    def test_short_row(self, tmp_path, rows, bad):
+        path = tmp_path / "t.csv"
+        path.write_text("step,x,y,psi\n" + rows)
+        with pytest.raises(FormatError, match=bad):
+            load_trajectory(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("step,x,y,psi\n")

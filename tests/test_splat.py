@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -274,18 +275,35 @@ KERNEL_CASES = {name: (spec, scene) for name, spec, scene in _kernel_cases()}
 
 @pytest.mark.parametrize("use_index", [True, False])
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
-def test_kernel_matches_per_gaussian_oracle(case, use_index):
+def test_kernel_matches_per_gaussian_oracle(case, use_index, monkeypatch):
     spec, scene = KERNEL_CASES[case]
     if case == "multi_chunk_group":
         assert sum(1 for _ in _block_chunks(scene, spec, 3.0, use_index)) >= 3
     if case == "many_pairs":
-        assert sum(flat.size for _, flat, _, _, _ in _block_chunks(scene, spec, 3.0, use_index)) > 2**14
+        assert sum(flat.size for _, flat, _, _ in _block_chunks(scene, spec, 3.0, use_index)) > 2**14
     params = SplatParams(ClassConfig(3), use_index=use_index)
     labels = np.random.default_rng(3).choice([0, 1, 2, EMPTY], spec.num_voxels).astype(np.uint8)
     target = OccupancyGrid(spec, labels)
     F_ref, loss_ref, grads_ref = _oracle_loss_and_grads(scene, target, params)
-    assert np.array_equal(evidence_field(scene, spec, params), F_ref)
+    F, pairs = evidence_field(scene, spec, params)
+    assert np.array_equal(F, F_ref)
+    # the inside (g, flat) pairs are the oracle's, sorted by Gaussian and then voxel on both sides
+    none = [np.zeros((0, 2), int)]
+    got = np.concatenate(none + [np.stack([gi, flat], axis=1) for _, gi, flat, _, _ in pairs])
+    want = np.concatenate(
+        none + [np.stack([np.full(flat.size, gi), flat], axis=1) for gi, flat, *_ in _oracle_pairs(scene, spec, params)]
+    )
+    assert np.array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
+    # one block walk per loss evaluation: the backward pass reduces over the forward pass's pairs
+    walks = []
+
+    def counted_chunks(*args):
+        walks.append(args)
+        return _block_chunks(*args)
+
+    monkeypatch.setattr(importlib.import_module("gaussworld.splat"), "_block_chunks", counted_chunks)
     grads = occupancy_loss_and_grads(scene, target, params)
+    assert len(walks) == 1
     assert grads.loss_value == loss_ref
     assert occupancy_loss(scene, target, params) == loss_ref
     # relative to the largest gradient entry: isotropic Gaussians have rotation gradients of pure rounding noise

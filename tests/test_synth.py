@@ -206,6 +206,20 @@ class TestScenarioIO:
         for (ca, pa), (cb, pb) in zip(sc.gt_map, back.gt_map):
             assert ca == cb and np.array_equal(pa, pb)
 
+    @pytest.mark.parametrize("key", [None, "config", "boxes", "map", "ego"])
+    def test_malformed_bundle_raises_value_error(self, tmp_path, key):
+        save_scenario(tmp_path / "bundle", generate(corridor_cfg()))
+        path = tmp_path / "bundle" / "scenario.json"
+        doc = json.loads(path.read_text())
+        if key is None:
+            doc, match = [1], "JSON object"
+        else:
+            del doc[key]
+            match = repr(key)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_scenario(tmp_path / "bundle")
+
 
 class TestGtFlows:
     def make_scene(self, means, class_ids, num_classes=3):
