@@ -15,7 +15,7 @@ import numpy as np
 from .core import ClassConfig, GaussianScene, dynamic_mask, quat_normalize
 from .flow import FlowField, Trajectory, apply_flow, ego_transform, yaw_matrix
 from .grid import GridSpec, OccupancyGrid
-from .splat import SplatParams, occupancy_loss, occupancy_loss_and_grads
+from .splat import SplatParams, _voxel_terms, evidence_field, occupancy_loss, occupancy_loss_and_grads
 
 
 class OptimizationError(RuntimeError):
@@ -177,57 +177,85 @@ def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitCo
     return FlowField(steps)
 
 
+_FIELDS = {"mean": "means", "log_scale": "log_scales", "logits": "logits", "rotation": "rotations"}
+
+
+def _pair_evidence(scene: GaussianScene, spec: GridSpec, params: SplatParams):
+    """F and, per pair inside the κ cutoff, its Gaussian, voxel and evidence ρ·p (P, C)."""
+    F, pairs = evidence_field(scene, spec, params)
+    gi, flat, q = (np.concatenate([np.zeros(0, int)] + [p[k] for p in pairs]) for k in (1, 2, 4))
+    return F, gi, flat, np.exp(-0.5 * q)[:, None] * scene.class_probs()[gi]
+
+
+def _stencil_differences(scene: GaussianScene, target: OccupancyGrid, params: SplatParams, step, names):
+    """Central differences at step and step/2 of every component of the named groups,
+    group after group, each row-major; see check_gradients."""
+    half, owner, edits = step / 2, [np.zeros(0, int)], []  # owner: each copy's Gaussian
+    for name in names:
+        a = getattr(scene, _FIELDS[name])
+        n, w = np.divmod(np.repeat(np.arange(a.size), 4), a.shape[1])  # each component once per stencil point
+        x0 = a.ravel()
+        values = np.stack([x0 + step, x0 - step, x0 + half, x0 - half], axis=1).ravel()
+        edits.append((_FIELDS[name], sum(map(len, owner)) + np.arange(n.size), w, values))
+        owner.append(n)
+    owner = np.concatenate(owner)
+    copies = {f: getattr(scene, f)[owner] for f in _FIELDS.values()}
+    for f, rows, w, values in edits:
+        copies[f][rows, w] = values
+    spec, M = target.spec, target.spec.num_voxels
+    F, g0, v0, c0 = _pair_evidence(scene, spec, params)
+    _, g1, v1, c1 = _pair_evidence(GaussianScene(**copies, class_names=scene.class_names), spec, params)
+    n0 = np.bincount(g0, minlength=len(scene))
+    reps = n0[owner]
+    first = np.repeat(np.cumsum(n0)[owner] - np.cumsum(reps), reps)  # each copy's offset into the sorted pairs
+    take = np.argsort(g0, kind="stable")[first + np.arange(reps.sum())]  # its Gaussian's pairs, to be negated
+    copy = np.concatenate([np.repeat(np.arange(owner.size), reps), g1])
+    keys, inv = np.unique(copy * M + np.concatenate([v0[take], v1]), return_inverse=True)
+    delta = np.zeros((keys.size, F.shape[1]))
+    np.add.at(delta, inv, np.concatenate([-c0[take], c1]))
+    v, cfg, t = keys % M, params.cfg, target.labels
+    dnll = _voxel_terms(F[v] + delta, t[v], cfg)[0] - _voxel_terms(F, t, cfg)[0][v]
+    dL = (np.bincount(keys // M, dnll, owner.size) / M).reshape(-1, 4)
+    return (dL[:, 0] - dL[:, 1]) / (2 * step), (dL[:, 2] - dL[:, 3]) / (2 * half)
+
+
 def check_gradients(scene: GaussianScene, target: OccupancyGrid, params: SplatParams, step=1e-4, groups=None):
     """Compare analytic gradients against central finite differences per parameter group.
 
     `groups` limits the check to a subset of {"mean", "log_scale", "logits",
     "rotation"} (all four when None), e.g. to skip rotations when they are
-    frozen during fitting. Components where the loss is non-smooth at the
-    evaluation point (the κ cutoff boundary) are detected by comparing
-    differences at step and step/2 and excluded; their count is reported under
-    'excluded'.
+    frozen during fitting. The copies of every component at x0 ± step and
+    x0 ± step/2 form one scene, walked by the kernel once. A copy of Gaussian g
+    changes F only on its own pairs and g's, so its loss change is the sum there
+    of ℓ(F_v − c_g,v + c_copy,v) − ℓ(F_v), c being one Gaussian's evidence: a
+    local sum, free of the rounding error of two nearly equal global losses.
+    Components where the loss is non-smooth at the evaluation point (the κ
+    cutoff boundary) are detected by comparing differences at step and step/2
+    and excluded; their count is reported under 'excluded'.
     """
+    unknown = set(_FIELDS if groups is None else groups) - set(_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown gradient groups {sorted(unknown)}")
+    names = [name for name in _FIELDS if groups is None or name in groups]
     ana = occupancy_loss_and_grads(scene, target, params)
-    fields = {"mean": "means", "log_scale": "log_scales", "logits": "logits", "rotation": "rotations"}
-    all_groups = {name: (getattr(scene, f), getattr(ana, "d_" + f)) for name, f in fields.items()}
-    if groups is None:
-        selected = all_groups
-    else:
-        unknown = set(groups) - set(all_groups)
-        if unknown:
-            raise ValueError(f"unknown gradient groups {sorted(unknown)}")
-        selected = {name: all_groups[name] for name in all_groups if name in groups}
-
-    def loss_with(name, flat_idx, value):
-        a = getattr(scene, fields[name]).copy()
-        a.flat[flat_idx] = value
-        return occupancy_loss(scene.with_arrays(**{fields[name]: a}), target, params)
-
+    # the differences below are of the loss-only path, which must be the loss the gradients differentiate
+    if occupancy_loss(scene, target, params) != ana.loss_value:
+        raise RuntimeError("occupancy_loss disagrees with occupancy_loss_and_grads")
+    fd_full, fd_half = _stencil_differences(scene, target, params, step, names)
+    bad = np.abs(fd_full - fd_half) > 1e-3 * np.maximum(np.maximum(np.abs(fd_full), np.abs(fd_half)), 1e-6)
+    # Richardson extrapolation of the two stencils cancels the O(step²) truncation
+    # term, so the comparison measures the gradient itself
+    fd = (4.0 * fd_half - fd_full) / 3.0
+    a = np.concatenate([np.zeros(0)] + [getattr(ana, "d_" + _FIELDS[name]).ravel() for name in names])
+    denom = np.maximum(np.abs(a), np.abs(fd))
+    err = np.divide(np.abs(a - fd), denom, out=np.zeros_like(denom), where=denom >= 1e-10)
+    ends = np.cumsum([getattr(scene, _FIELDS[name]).size for name in names])
     report = {}
-    for name, (base, analytic) in selected.items():
-        max_err = 0.0
-        errs = []
-        excluded = 0
-        for fi in range(base.size):
-            x0 = base.flat[fi]
-            fd_full = (loss_with(name, fi, x0 + step) - loss_with(name, fi, x0 - step)) / (2 * step)
-            half = step / 2
-            fd_half = (loss_with(name, fi, x0 + half) - loss_with(name, fi, x0 - half)) / (2 * half)
-            scale = max(abs(fd_full), abs(fd_half), 1e-6)
-            if abs(fd_full - fd_half) > 1e-3 * scale:
-                excluded += 1  # cutoff-boundary discontinuity within the stencil
-                continue
-            # Richardson extrapolation of the two stencils cancels the O(step²)
-            # truncation term, so the comparison measures the gradient itself
-            fd = (4.0 * fd_half - fd_full) / 3.0
-            a = analytic.flat[fi]
-            denom = max(abs(a), abs(fd))
-            err = 0.0 if denom < 1e-10 else abs(a - fd) / denom
-            errs.append(err)
-            max_err = max(max_err, err)
+    for name, b, e in zip(names, np.split(bad, ends), np.split(err, ends)):
+        e = e[~b]  # excluded: a cutoff-boundary discontinuity within the stencil
         report[name] = {
-            "max_rel_err": max_err,
-            "mean_rel_err": float(np.mean(errs)) if errs else 0.0,
-            "excluded": excluded,
+            "max_rel_err": float(e.max(initial=0.0)),
+            "mean_rel_err": float(np.mean(e)) if e.size else 0.0,
+            "excluded": int(np.count_nonzero(b)),
         }
     return report

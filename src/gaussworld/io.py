@@ -197,9 +197,14 @@ def load_trajectory(path, dt=0.5):
         short = [c for c in TRAJECTORY_HEADER if r[c] is None]
         if short:
             raise FormatError(f"trajectory CSV row {n} has no {short[0]!r} value")
-    rows.sort(key=lambda r: int(r["step"]))
+        for c, cast in zip(TRAJECTORY_HEADER, (int, float, float, float)):
+            try:
+                r[c] = cast(r[c])
+            except ValueError:
+                kind = "an integer" if cast is int else "a number"
+                raise FormatError(f"trajectory CSV row {n} column {c!r} is not {kind}: {r[c]!r}") from None
+    rows.sort(key=lambda r: r["step"])
     for k, r in enumerate(rows, start=1):
-        if int(r["step"]) != k:
+        if r["step"] != k:
             raise FormatError(f"trajectory steps must be 1..{len(rows)}: step {r['step']} found where step {k} belongs")
-    wps = tuple(Waypoint(float(r["x"]), float(r["y"]), float(r["psi"])) for r in rows)
-    return Trajectory(wps, dt)
+    return Trajectory(tuple(Waypoint(r["x"], r["y"], r["psi"]) for r in rows), dt)

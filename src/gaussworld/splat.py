@@ -136,6 +136,26 @@ def splat(scene: GaussianScene, spec: GridSpec, params: SplatParams):
     return grid, F
 
 
+def _voxel_terms(F, t, cfg: ClassConfig):
+    """Per-voxel cross-entropy terms of evidence rows F (K, C) against labels t (K,).
+
+    nll is log(S+ε) at EMPTY targets (the constant −log ε left out) and
+    −log max(P_t, PROB_FLOOR) elsewhere. Also returns S+ε, the EMPTY mask, the
+    labelled rows with their labels, and P_t there.
+    """
+    denom = F.sum(axis=1) + cfg.empty_evidence
+    is_empty = t == EMPTY
+    sem_idx = np.nonzero(~is_empty)[0]
+    sem_t = t[sem_idx].astype(np.int64)
+    if np.any(sem_t >= cfg.num_classes):
+        raise ValueError("target contains labels outside the class range")
+    Pt = F[sem_idx, sem_t] / denom[sem_idx]
+    nll = np.empty(len(t))
+    nll[is_empty] = np.log(denom[is_empty])
+    nll[sem_idx] = -np.log(np.maximum(Pt, PROB_FLOOR))
+    return nll, denom, is_empty, sem_idx, sem_t, Pt
+
+
 def _cross_entropy(F, target: OccupancyGrid, cfg: ClassConfig, with_grad=False):
     """Mean per-voxel (C+1)-way cross-entropy of evidence F against target labels.
 
@@ -143,17 +163,9 @@ def _cross_entropy(F, target: OccupancyGrid, cfg: ClassConfig, with_grad=False):
     folded in (zero where the target probability is clamped at PROB_FLOOR).
     """
     M = target.spec.num_voxels
-    eps = cfg.empty_evidence
-    t = target.labels
-    denom = F.sum(axis=1) + eps
-    is_empty = t == EMPTY
-    sem_idx = np.nonzero(~is_empty)[0]
-    sem_t = t[sem_idx].astype(np.int64)
-    if np.any(sem_t >= cfg.num_classes):
-        raise ValueError("target contains labels outside the class range")
-    loss = np.sum(np.log(denom[is_empty])) - np.count_nonzero(is_empty) * np.log(eps)
-    Pt = F[sem_idx, sem_t] / denom[sem_idx]
-    loss += -np.sum(np.log(np.maximum(Pt, PROB_FLOOR)))
+    nll, denom, is_empty, sem_idx, sem_t, Pt = _voxel_terms(F, target.labels, cfg)
+    loss = np.sum(nll[is_empty]) - np.count_nonzero(is_empty) * np.log(cfg.empty_evidence)
+    loss += np.sum(nll[sem_idx])
     loss = float(loss / M)
     if not with_grad:
         return loss

@@ -237,9 +237,16 @@ def load_scenario(directory):
     grids = tuple(
         gio.load_grid(os.path.join(directory, f"grid_{k:03d}.occ")) for k in range(cfg.num_steps + 1)
     )
-    boxes = tuple(tuple(gio.from_dict(Box, b, "box") for b in step_boxes) for step_boxes in doc["boxes"])
-    gt_map = tuple((cat, np.array(pts)) for cat, pts in doc["map"])
-    ego = Trajectory(tuple(Waypoint(*w) for w in doc["ego"]), cfg.dt)
+
+    def decode(key, build):
+        try:
+            return build(doc[key])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"scenario bundle has a malformed {key!r}: {e}") from e
+
+    boxes = decode("boxes", lambda v: tuple(tuple(gio.from_dict(Box, b, "box") for b in step) for step in v))
+    gt_map = decode("map", lambda v: tuple((cat, np.array(pts)) for cat, pts in v))
+    ego = decode("ego", lambda v: Trajectory(tuple(Waypoint(*w) for w in v), cfg.dt))
     return Scenario(
         cfg=cfg,
         gt_grids=grids,

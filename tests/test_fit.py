@@ -1,12 +1,15 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from gaussworld.core import EMPTY, ClassConfig, GaussianScene
+from gaussworld.core import EMPTY, LOG_SCALE_MAX, ClassConfig, GaussianScene
 from gaussworld.fit import (
     FitConfig,
     OptimizationError,
+    _stencil_differences,
+    check_gradients,
     dynamic_mask,
     fit_flows,
     fit_gaussians,
@@ -15,7 +18,7 @@ from gaussworld.fit import (
 from gaussworld.flow import Trajectory, Waypoint
 from gaussworld.grid import GridSpec, OccupancyGrid
 from gaussworld.metrics import miou_iou
-from gaussworld.splat import SplatParams, splat
+from gaussworld.splat import SplatParams, occupancy_loss, occupancy_loss_and_grads, splat
 from tests.conftest import random_scene
 
 
@@ -196,3 +199,123 @@ class TestFitConfig:
         assert ccfg.dynamic_class_ids == frozenset({1})
         assert ccfg.empty_evidence == 0.2
         assert ccfg.mahalanobis_cutoff == 2.5
+
+
+# Frozen copy of the per-component loop that check_gradients ran before it batched
+# its finite differences: four full loss evaluations per component. It also returns
+# the two stencils' differences, group after group, each row-major.
+def _oracle_check_gradients(scene, target, params, step=1e-4, groups=None):
+    ana = occupancy_loss_and_grads(scene, target, params)
+    fields = {"mean": "means", "log_scale": "log_scales", "logits": "logits", "rotation": "rotations"}
+    all_groups = {name: (getattr(scene, f), getattr(ana, "d_" + f)) for name, f in fields.items()}
+    selected = all_groups if groups is None else {n: all_groups[n] for n in all_groups if n in groups}
+
+    def loss_with(name, flat_idx, value):
+        a = getattr(scene, fields[name]).copy()
+        a.flat[flat_idx] = value
+        return occupancy_loss(scene.with_arrays(**{fields[name]: a}), target, params)
+
+    report, fds = {}, []
+    for name, (base, analytic) in selected.items():
+        max_err = 0.0
+        errs = []
+        excluded = 0
+        for fi in range(base.size):
+            x0 = base.flat[fi]
+            fd_full = (loss_with(name, fi, x0 + step) - loss_with(name, fi, x0 - step)) / (2 * step)
+            half = step / 2
+            fd_half = (loss_with(name, fi, x0 + half) - loss_with(name, fi, x0 - half)) / (2 * half)
+            fds.append((fd_full, fd_half))
+            scale = max(abs(fd_full), abs(fd_half), 1e-6)
+            if abs(fd_full - fd_half) > 1e-3 * scale:
+                excluded += 1
+                continue
+            fd = (4.0 * fd_half - fd_full) / 3.0
+            a = analytic.flat[fi]
+            denom = max(abs(a), abs(fd))
+            err = 0.0 if denom < 1e-10 else abs(a - fd) / denom
+            errs.append(err)
+            max_err = max(max_err, err)
+        report[name] = {
+            "max_rel_err": max_err,
+            "mean_rel_err": float(np.mean(errs)) if errs else 0.0,
+            "excluded": excluded,
+        }
+    return report, np.array(fds).reshape(-1, 2).T
+
+
+GRADCHECK_SPEC = GridSpec((0, 0, 0), (8, 8, 8), 0.5)
+KAPPA = ClassConfig(3).mahalanobis_cutoff
+
+
+def _scene(means, log_scales, rng, rotations=None):
+    n = len(means)
+    rotations = np.tile([1.0, 0, 0, 0], (n, 1)) if rotations is None else rotations
+    return GaussianScene(means, log_scales, rotations, rng.normal(size=(n, 3)), ("c0", "c1", "c2"))
+
+
+def _kappa_boundary_scene(rng):
+    # the voxel centred at (1.25, 1.25, 1.25) lies 1.2e-10 m inside Gaussian 0's κ cutoff
+    s = 0.4
+    means = np.vstack([[1.25 + KAPPA * s * (1 - 1e-10), 1.25, 1.25], rng.uniform(0.5, 3.5, (3, 3))])
+    log_scales = np.vstack([np.full((1, 3), math.log(s)), rng.uniform(math.log(0.2), math.log(0.8), (3, 3))])
+    return _scene(means, log_scales, rng)
+
+
+GRADCHECK_SCENES = {
+    "empty": lambda rng: random_scene(rng, 0),
+    "one": lambda rng: random_scene(rng, 1, lo=0.5, hi=3.5),
+    "random": lambda rng: random_scene(rng, 6, lo=0.5, hi=3.5),
+    # means beyond the grid's faces: the blocks are clipped at the grid edge
+    "grid_edge": lambda rng: random_scene(rng, 4, lo=-0.4, hi=4.4),
+    "kappa_boundary": _kappa_boundary_scene,
+    # one axis 5e-5 below the log-scale clip, so x0 + step and x0 + step/2 clip
+    "log_scale_clip": lambda rng: _scene(
+        rng.uniform(1.0, 3.0, (2, 3)),
+        [[math.log(0.3), math.log(0.5), LOG_SCALE_MAX - 5e-5], [math.log(0.4)] * 3],
+        rng,
+        rng.normal(size=(2, 4)),
+    ),
+}
+
+
+class TestCheckGradients:
+    @pytest.mark.parametrize("case", list(GRADCHECK_SCENES))
+    def test_batched_differences_match_per_component_loop(self, rng, case):
+        scene = GRADCHECK_SCENES[case](rng)
+        labels = rng.choice([0, 1, 2, EMPTY], GRADCHECK_SPEC.num_voxels).astype(np.uint8)
+        target, params = OccupancyGrid(GRADCHECK_SPEC, labels), SplatParams(ClassConfig(3))
+        names = ["mean", "log_scale", "logits", "rotation"]
+        oracle_report, (oracle_full, oracle_half) = _oracle_check_gradients(scene, target, params)
+        fd_full, fd_half = _stencil_differences(scene, target, params, 1e-4, names)
+        assert fd_full.shape == fd_half.shape == (len(scene) * 13,)
+        assert np.max(np.abs(fd_full - oracle_full), initial=0.0) <= 1e-9
+        assert np.max(np.abs(fd_half - oracle_half), initial=0.0) <= 1e-9
+        report = check_gradients(scene, target, params)
+        assert list(report) == names
+        assert [v["excluded"] for v in report.values()] == [v["excluded"] for v in oracle_report.values()]
+        assert all(v["max_rel_err"] < 1e-4 for v in report.values())
+
+    def test_kernel_walks_do_not_grow_with_scene_size(self, rng, monkeypatch):
+        walks = []
+        splat_module = importlib.import_module("gaussworld.splat")  # the package exports a function splat
+        block_chunks = splat_module._block_chunks
+
+        def counting(*args):
+            walks.append(args)
+            return block_chunks(*args)
+
+        monkeypatch.setattr(splat_module, "_block_chunks", counting)
+        counts = []
+        for n in (2, 12):
+            labels = rng.choice([0, 1, 2, EMPTY], GRADCHECK_SPEC.num_voxels).astype(np.uint8)
+            walks.clear()
+            check_gradients(random_scene(rng, n, lo=0.5, hi=3.5), OccupancyGrid(GRADCHECK_SPEC, labels),
+                            SplatParams(ClassConfig(3)), groups=("mean", "log_scale", "logits"))
+            counts.append(len(walks))
+        assert counts[0] == counts[1]
+
+    def test_unknown_group_rejected(self, rng):
+        target = OccupancyGrid.empty(GRADCHECK_SPEC)
+        with pytest.raises(ValueError, match="rotations"):
+            check_gradients(random_scene(rng, 1), target, SplatParams(ClassConfig(3)), groups=("rotations",))

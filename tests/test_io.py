@@ -231,6 +231,14 @@ class TestTrajectoryIO:
         with pytest.raises(FormatError, match=bad):
             load_trajectory(path)
 
+    @pytest.mark.parametrize("rows, bad", [("1,abc,0,0\n", "row 1 column 'x' is not a number: 'abc'"),
+                                           ("1,0,0,0\nx1,0,0,0\n", "row 2 column 'step' is not an integer: 'x1'")])
+    def test_non_numeric_cell(self, tmp_path, rows, bad):
+        path = tmp_path / "t.csv"
+        path.write_text("step,x,y,psi\n" + rows)
+        with pytest.raises(FormatError, match=bad):
+            load_trajectory(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("step,x,y,psi\n")

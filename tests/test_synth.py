@@ -206,13 +206,21 @@ class TestScenarioIO:
         for (ca, pa), (cb, pb) in zip(sc.gt_map, back.gt_map):
             assert ca == cb and np.array_equal(pa, pb)
 
-    @pytest.mark.parametrize("key", [None, "config", "boxes", "map", "ego"])
+    # a key alone is deleted from the bundle; a (key, value) pair replaces the key's value
+    @pytest.mark.parametrize(
+        "key",
+        [None, "config", "boxes", "map", "ego", ("ego", [[1]]), ("ego", 5), ("map", [5]), ("boxes", [5])],
+        ids=lambda k: f"{k[0]}={json.dumps(k[1])}" if isinstance(k, tuple) else None,
+    )
     def test_malformed_bundle_raises_value_error(self, tmp_path, key):
         save_scenario(tmp_path / "bundle", generate(corridor_cfg()))
         path = tmp_path / "bundle" / "scenario.json"
         doc = json.loads(path.read_text())
         if key is None:
             doc, match = [1], "JSON object"
+        elif isinstance(key, tuple):
+            doc[key[0]] = key[1]
+            match = f"malformed {key[0]!r}"
         else:
             del doc[key]
             match = repr(key)
