@@ -141,8 +141,11 @@ def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitCo
 
     Each step warm-starts from the previous step's solution (flows are
     cumulative, so consecutive displacements are close); rows of
-    non-dynamic Gaussians stay exactly zero. Gradients pass analytically
-    through the ego transform (a rigid map, so the mean gradient rotates back).
+    non-dynamic Gaussians stay exactly zero. Static Gaussians do not move within
+    a step, so their evidence is splatted once per step as a base field, and
+    each iteration splats and differentiates only the dynamic Gaussians on top
+    of it. Gradients pass analytically through the ego transform (a rigid map,
+    so the mean gradient rotates back).
     """
     if len(future_targets) != len(plan):
         raise ValueError("one future target per planned waypoint is required")
@@ -150,30 +153,28 @@ def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitCo
     ccfg = cfg.class_config(C)
     params = SplatParams(ccfg)
     # no dynamic set configured: let every Gaussian move
-    if ccfg.dynamic_class_ids:
-        mask = dynamic_mask(scene, ccfg)[:, None]
-    else:
-        mask = np.ones((len(scene), 1), dtype=bool)
+    moves = dynamic_mask(scene, ccfg) if ccfg.dynamic_class_ids else np.ones(len(scene), dtype=bool)
+    dynamic = np.flatnonzero(moves)
+    static, moving = scene.take(np.flatnonzero(~moves)), scene.take(dynamic)
     steps = np.zeros((len(plan), len(scene), 3))
-    delta = np.zeros((len(scene), 3))
+    delta = np.zeros((dynamic.size, 3))
     for k, (target, w) in enumerate(zip(future_targets, plan.waypoints)):
         # flows are cumulative, so the previous step's solution is the natural
         # warm start: each step then only needs to absorb one step of motion
-        delta = delta.copy()
         Rz = yaw_matrix(-w.psi)
+        base = evidence_field(ego_transform(static, w), target.spec, params)[0]
         prev = None
         for it in range(cfg.max_iters):
-            moved = ego_transform(apply_flow(scene, delta), w)
-            grads = occupancy_loss_and_grads(moved, target, params)
+            moved = ego_transform(apply_flow(moving, delta), w)
+            grads = occupancy_loss_and_grads(moved, target, params, base)
             if not math.isfinite(grads.loss_value):
                 raise OptimizationError(it)
             # means' = Rz(-psi)·(mean + delta - t)  =>  dL/ddelta = Rz(-psi)ᵀ·dL/dmeans'
-            d_delta = grads.d_means @ Rz
-            delta = delta - cfg.lr_mean * np.where(mask, d_delta, 0.0)
+            delta = delta - cfg.lr_mean * (grads.d_means @ Rz)
             if prev is not None and abs(prev - grads.loss_value) < cfg.tol:
                 break
             prev = grads.loss_value
-        steps[k] = delta
+        steps[k][dynamic] = delta
     return FlowField(steps)
 
 

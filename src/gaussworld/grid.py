@@ -33,8 +33,10 @@ class GridSpec:
             raise ValueError("dims must be positive")
         if d[0] * d[1] * d[2] > 2**31:
             raise ValueError("grid too large")
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        if not np.all(np.isfinite(o)):
+            raise ValueError(f"origin must be finite, not {o}")
+        if not 0 < self.voxel_size < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"voxel_size must be positive and finite, not {self.voxel_size}")
         object.__setattr__(self, "origin", o)
         object.__setattr__(self, "dims", d)
         object.__setattr__(self, "voxel_size", float(self.voxel_size))

@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .core import GaussianScene
+from .core import EMPTY, MAX_CLASSES, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint
 from .grid import GridSpec, OccupancyGrid
 
@@ -103,6 +103,10 @@ def load_scene(path):
     timestamp_index = doc.get("timestamp_index", 0)
     if not isinstance(timestamp_index, (int, float)):
         raise FormatError(f"field 'timestamp_index' must be a number, not {type(timestamp_index).__name__}")
+    try:
+        timestamp_index = int(timestamp_index)
+    except (OverflowError, ValueError) as e:
+        raise FormatError(f"field 'timestamp_index' must be finite, not {timestamp_index!r}") from e
     return GaussianScene(
         means,
         log_scales,
@@ -110,7 +114,7 @@ def load_scene(path):
         logits,
         class_names,
         doc.get("frame_pose", (0.0, 0.0, 0.0)),
-        int(timestamp_index),
+        timestamp_index,
     )
 
 
@@ -148,8 +152,14 @@ def load_grid(path):
         dims = struct.unpack("<3I", _read_exact(f, 12, "dims"))
         (voxel_size,) = struct.unpack("<d", _read_exact(f, 8, "voxel_size"))
         (num_classes,) = struct.unpack("<I", _read_exact(f, 4, "class count"))
+        if num_classes > MAX_CLASSES:
+            raise FormatError(f"class count {num_classes} exceeds the maximum of {MAX_CLASSES}")
         labels = np.frombuffer(_read_exact(f, dims[0] * dims[1] * dims[2], "labels"), dtype=np.uint8)
-        return OccupancyGrid(GridSpec(origin, dims, voxel_size), labels, num_classes)
+    # a class count of 0 leaves it unknown, so every label below EMPTY is a class
+    bad = np.flatnonzero((labels != EMPTY) & (labels >= (num_classes or MAX_CLASSES)))
+    if bad.size:
+        raise FormatError(f"voxel {bad[0]} has label {labels[bad[0]]}, but the header declares {num_classes} classes")
+    return OccupancyGrid(GridSpec(origin, dims, voxel_size), labels, num_classes)
 
 
 def save_flows(path, flows: FlowField):

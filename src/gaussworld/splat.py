@@ -47,7 +47,9 @@ _CHUNK_PAIRS = 1 << 14  # Gaussian-voxel pairs per kernel chunk; bounds the tran
 def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
     """Yield (g, flat, u, q) for chunks of Gaussians that share one block shape.
 
-    Each Gaussian's block is the voxel box within κ·max(scale) of its mean,
+    Each Gaussian's block is the voxel box of its κ ellipsoid: half-width
+    κ·√Σₖₖ = κ·√(Σⱼ Rₖⱼ² sⱼ²) on axis k, padded by a relative 1e-9 so that q's
+    rounding cannot leave an inside pair out, capped at the κ·max(scale) box and
     clipped to the grid (the whole grid when use_index is off). g (B,) holds
     ascending Gaussian indices, flat (B, n) their block voxels in i-slowest
     order, u = Rᵀ(center − mean) (B, n, 3), and q (B, n) the squared
@@ -55,8 +57,12 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
     as a per-Gaussian loop would, so every value is bit-identical to one.
     """
     dims = np.array(spec.dims)
+    rots = quat_to_rot(scene.rotations)
     if use_index:
-        r = kappa * np.exp(np.max(scene.log_scales, axis=1))[:, None]  # κ·max(scale) bounds any rotation
+        ls = scene.log_scales
+        r = kappa * np.sqrt(np.einsum("nkj,nj->nk", rots * rots, np.exp(2.0 * ls))) * (1 + 1e-9)
+        # κ·max(scale) from elementwise maxima: np.max over a length-3 axis costs more than the whole box
+        r = np.minimum(r, kappa * np.exp(np.maximum(np.maximum(ls[:, 0], ls[:, 1]), ls[:, 2]))[:, None])
         o, vs = np.array(spec.origin), spec.voxel_size
         lo = np.maximum(np.ceil((scene.means - r - o) / vs - 0.5).astype(int), 0)
         hi = np.minimum(np.floor((scene.means + r - o) / vs - 0.5).astype(int), dims - 1)
@@ -73,7 +79,6 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
     groups = np.split(live[order], np.flatnonzero(np.diff(key[order])) + 1)
     base = lo @ np.array([1, nx, nx * ny])
     centers = voxel_centers(spec)
-    rots = quat_to_rot(scene.rotations)
     s2inv = np.exp(-2.0 * scene.log_scales)
     for members in groups:
         bx, by, bz = shape[members[0]]
@@ -89,16 +94,18 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
             yield g, flat, u, q
 
 
-def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams):
+def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams, base=None):
     """Dense per-class evidence F (num_voxels, C) and the pairs inside the κ cutoff.
 
     pairs holds one (g, gi, flat, u, q) per kernel chunk: its ascending Gaussians g
     and, per inside pair, the Gaussian, the voxel, u and q. Each voxel sums its terms
-    in ascending Gaussian order, exactly as a per-Gaussian scatter-add would.
+    in ascending Gaussian order, exactly as a per-Gaussian scatter-add would. base,
+    when given, is the (num_voxels, C) evidence of Gaussians held fixed: F starts
+    from a copy of it instead of zeros, and the scene's sums are added to it.
     """
     cfg = params.cfg
     M = spec.num_voxels
-    F = np.zeros((M, cfg.num_classes))
+    F = np.zeros((M, cfg.num_classes)) if base is None else base.copy()
     k2 = cfg.mahalanobis_cutoff**2
     pairs = []
     for g, flat, u, q in _block_chunks(scene, spec, cfg.mahalanobis_cutoff, params.use_index):
@@ -112,7 +119,7 @@ def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams):
     rho = np.exp(-0.5 * np.concatenate([p[4] for p in pairs])[order])
     probs = scene.class_probs()
     for c in range(cfg.num_classes):
-        F[:, c] = np.bincount(flat, weights=rho * probs[gi, c], minlength=M)
+        F[:, c] += np.bincount(flat, weights=rho * probs[gi, c], minlength=M)
     return F, pairs
 
 
@@ -197,18 +204,20 @@ def _dR_dquat(q):
     return 2.0 * np.moveaxis(np.array(J), -1, 0)
 
 
-def occupancy_loss_and_grads(scene: GaussianScene, target: OccupancyGrid, params: SplatParams):
+def occupancy_loss_and_grads(scene: GaussianScene, target: OccupancyGrid, params: SplatParams, base=None):
     """Mean per-voxel (C+1)-way cross-entropy vs the target labels, with exact gradients.
 
     Per voxel, class probabilities are P_c = F_c/(S+ε) and P_EMPTY = ε/(S+ε)
     with S = ΣF and ε the empty-evidence mass; the loss is -log of the target's
     probability (floored at PROB_FLOOR), averaged over voxels. Voxels beyond a
-    Gaussian's κ cutoff contribute zero gradient to that Gaussian.
+    Gaussian's κ cutoff contribute zero gradient to that Gaussian. base, when
+    given, is the evidence of Gaussians held fixed (see evidence_field): it is
+    part of F, and the gradients are for scene's Gaussians alone.
     """
     cfg = params.cfg
     C = cfg.num_classes
     N = len(scene)
-    F, pairs = evidence_field(scene, target.spec, params)
+    F, pairs = evidence_field(scene, target.spec, params, base)
     loss, dLdF = _cross_entropy(F, target, cfg, with_grad=True)
 
     probs = scene.class_probs()

@@ -250,6 +250,7 @@ class TestErrors:
             ({k: v for k, v in SPEC_DOC.items() if k != "dims"}, "dims"),
             ({**SPEC_DOC, "dims": [16, 8.5, 4]}, "dims"),
             ({**SPEC_DOC, "dim": [16, 8, 4]}, "unknown grid spec keys"),
+            ({**SPEC_DOC, "voxel_size": float("nan")}, "voxel_size"),
         ],
     )
     def test_malformed_spec_raises_value_error(self, tmp_path, doc, match):

@@ -15,10 +15,10 @@ from gaussworld.fit import (
     fit_gaussians,
     init_uniform,
 )
-from gaussworld.flow import Trajectory, Waypoint
+from gaussworld.flow import Trajectory, Waypoint, apply_flow, ego_transform, yaw_matrix
 from gaussworld.grid import GridSpec, OccupancyGrid
 from gaussworld.metrics import miou_iou
-from gaussworld.splat import SplatParams, occupancy_loss, occupancy_loss_and_grads, splat
+from gaussworld.splat import SplatParams, evidence_field, occupancy_loss, occupancy_loss_and_grads, splat
 from tests.conftest import random_scene
 
 
@@ -183,6 +183,101 @@ class TestFitFlows:
         cfg = FitConfig(num_classes=2)
         with pytest.raises(ValueError):
             fit_flows(scene, [], Trajectory((Waypoint.identity(),)), cfg)
+
+
+# Frozen copy of the full-scene fit_flows loop that the static base field replaced: every
+# iteration splats and differentiates all Gaussians, and a mask zeroes the static rows.
+def _oracle_fit_flows(scene, future_targets, plan, cfg):
+    ccfg = cfg.class_config(scene.num_classes)
+    params = SplatParams(ccfg)
+    if ccfg.dynamic_class_ids:
+        mask = dynamic_mask(scene, ccfg)[:, None]
+    else:
+        mask = np.ones((len(scene), 1), dtype=bool)
+    steps = np.zeros((len(plan), len(scene), 3))
+    delta = np.zeros((len(scene), 3))
+    for k, (target, w) in enumerate(zip(future_targets, plan.waypoints)):
+        delta = delta.copy()
+        Rz = yaw_matrix(-w.psi)
+        prev = None
+        for it in range(cfg.max_iters):
+            moved = ego_transform(apply_flow(scene, delta), w)
+            grads = occupancy_loss_and_grads(moved, target, params)
+            d_delta = grads.d_means @ Rz
+            delta = delta - cfg.lr_mean * np.where(mask, d_delta, 0.0)
+            if prev is not None and abs(prev - grads.loss_value) < cfg.tol:
+                break
+            prev = grads.loss_value
+        steps[k] = delta
+    return steps
+
+
+FLOW_SPEC = GridSpec((0, 0, 0), (12, 8, 4), 0.5)
+FLOW_PLAN = Trajectory((Waypoint(0.3, 0.1, 0.05), Waypoint(0.6, 0.15, 0.1), Waypoint(0.9, 0.25, 0.2)))
+
+
+def _flow_problem(dynamic_class_ids, with_dynamic_gaussians=True):
+    """A 30-Gaussian scene with classes 0..2, and targets splatted from its class-2 Gaussians moving +x."""
+    rng = np.random.default_rng(11)
+    scene = random_scene(rng, 30, lo=0.5, hi=5.5, scale_range=(0.25, 0.7))
+    if not with_dynamic_gaussians:
+        scene = scene.with_arrays(logits=np.where(np.arange(3) == 2, -10.0, scene.logits))
+    cfg = FitConfig(max_iters=4, tol=0.0, num_classes=3, dynamic_class_ids=frozenset(dynamic_class_ids))
+    truth = SplatParams(ClassConfig(3, dynamic_class_ids=frozenset({2})))
+    targets = [
+        splat(ego_transform(apply_flow(scene, np.tile([0.4 * (k + 1), 0.0, 0.0], (30, 1)), truth.cfg), w), FLOW_SPEC, truth)[0]
+        for k, w in enumerate(FLOW_PLAN.waypoints)
+    ]
+    return scene, targets, cfg
+
+
+class TestFitFlowsStaticBase:
+    @pytest.mark.parametrize(
+        "dynamic_ids, with_dynamic", [({2}, True), (set(), True), ({2}, False)], ids=["mixed", "no_dynamic_classes", "no_dynamic_gaussians"]
+    )
+    def test_matches_full_scene_loop(self, dynamic_ids, with_dynamic):
+        scene, targets, cfg = _flow_problem(dynamic_ids, with_dynamic)
+        want = _oracle_fit_flows(scene, targets, FLOW_PLAN, cfg)
+        got = fit_flows(scene, targets, FLOW_PLAN, cfg).steps
+        assert np.max(np.abs(got - want)) <= 1e-12
+        moves = dynamic_mask(scene, cfg.class_config(3)) if dynamic_ids else np.ones(len(scene), dtype=bool)
+        assert np.all(got[:, ~moves] == 0.0)
+        if not dynamic_ids:  # no static set: the same sums in the same order
+            assert np.array_equal(got, want)
+        if not with_dynamic:
+            assert np.all(got == 0.0)
+        else:
+            assert np.any(got[:, moves] != 0.0)
+
+    def test_base_field_matches_full_scene_loss_and_dynamic_grads(self):
+        scene, targets, cfg = _flow_problem({2})
+        params = SplatParams(cfg.class_config(3))
+        moves = dynamic_mask(scene, params.cfg)
+        assert 0 < np.count_nonzero(moves) < len(scene)
+        base = evidence_field(scene.take(np.flatnonzero(~moves)), FLOW_SPEC, params)[0]
+        got = occupancy_loss_and_grads(scene.take(np.flatnonzero(moves)), targets[0], params, base)
+        want = occupancy_loss_and_grads(scene, targets[0], params)
+        assert abs(got.loss_value - want.loss_value) <= 1e-12
+        for group in ("d_means", "d_log_scales", "d_logits", "d_rotations"):
+            assert np.max(np.abs(getattr(got, group) - getattr(want, group)[moves])) <= 1e-12, group
+
+    def test_static_gaussians_walked_once_per_step(self, monkeypatch):
+        scene, targets, cfg = _flow_problem({2})
+        n_dynamic = int(np.count_nonzero(dynamic_mask(scene, cfg.class_config(3))))
+        n_static = len(scene) - n_dynamic
+        assert n_static != n_dynamic
+        splat_module = importlib.import_module("gaussworld.splat")  # the package exports a function splat
+        block_chunks, walks = splat_module._block_chunks, []
+
+        def counting(scene, *args):
+            walks.append(len(scene))
+            return block_chunks(scene, *args)
+
+        monkeypatch.setattr(splat_module, "_block_chunks", counting)
+        fit_flows(scene, targets, FLOW_PLAN, cfg)
+        assert walks.count(n_static) == len(FLOW_PLAN)
+        assert walks.count(n_dynamic) == len(FLOW_PLAN) * cfg.max_iters
+        assert len(walks) == len(FLOW_PLAN) * (1 + cfg.max_iters)
 
 
 class TestFitConfig:

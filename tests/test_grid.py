@@ -84,6 +84,20 @@ class TestFlatIndexing:
             GridSpec((0, 0, 0), (1.5, 2, 3), 1.0)
         assert GridSpec((0, 0, 0), (2.0, 2, 3), 1.0).dims == (2, 2, 3)
 
+    @pytest.mark.parametrize(
+        "origin, size, match",
+        [
+            ((np.nan, 0, 0), 0.5, "origin"),
+            ((0, -np.inf, 0), 0.5, "origin"),
+            ((0, 0, 0), np.nan, "voxel_size"),
+            ((0, 0, 0), np.inf, "voxel_size"),
+            ((np.nan, 0, 0), np.nan, "origin"),
+        ],
+    )
+    def test_spec_rejects_non_finite_geometry(self, origin, size, match):
+        with pytest.raises(ValueError, match=match):
+            GridSpec(origin, (2, 2, 2), size)
+
 
 class TestOccupancyGrid:
     def test_empty_grid(self):

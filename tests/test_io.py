@@ -85,6 +85,8 @@ class TestSceneIO:
             (lambda d: {**d, "frame_pose": 5}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": [0, {}, 0]}, ValueError, "frame_pose"),
             (lambda d: {**d, "timestamp_index": [1]}, FormatError, "timestamp_index"),
+            (lambda d: {**d, "timestamp_index": float("inf")}, FormatError, "'timestamp_index' must be finite, not inf"),
+            (lambda d: {**d, "timestamp_index": float("nan")}, FormatError, "'timestamp_index' must be finite, not nan"),
         ],
     )
     def test_malformed_documents_raise_typed_errors(self, edit, error, match, tmp_path):
@@ -145,6 +147,37 @@ class TestGridIO:
         path.write_bytes(b"OCCG" + struct.pack("<I", 2) + bytes(100))
         with pytest.raises(FormatError, match="version"):
             load_grid(path)
+
+    # header byte offsets: origin 8, dims 32, voxel_size 44, class count 52, labels 56
+    @pytest.mark.parametrize(
+        "offset, value, error, match",
+        [
+            (44, struct.pack("<d", float("nan")), ValueError, "voxel_size"),
+            (44, struct.pack("<d", float("inf")), ValueError, "voxel_size"),
+            (8, struct.pack("<d", float("nan")), ValueError, "origin"),
+            (52, struct.pack("<I", 1000), FormatError, "class count 1000"),
+            (56 + 5, bytes([200]), FormatError, "voxel 5 has label 200"),
+            (56 + 7, bytes([3]), FormatError, "voxel 7 has label 3"),
+        ],
+        ids=["nan_voxel_size", "inf_voxel_size", "nan_origin", "class_count_1000", "label_200", "label_3_of_3"],
+    )
+    def test_corrupted_header_or_labels_rejected(self, offset, value, error, match, tmp_path):
+        path = tmp_path / "g.occ"
+        save_grid(path, OccupancyGrid(GridSpec((0, 0, 0), (4, 4, 2), 0.5), np.arange(32) % 3, num_classes=3))
+        data = bytearray(path.read_bytes())
+        data[offset : offset + len(value)] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(error, match=match):
+            load_grid(path)
+
+    def test_unknown_class_count_accepts_every_class_label(self, tmp_path):
+        path = tmp_path / "g.occ"
+        save_grid(path, OccupancyGrid(GridSpec((0, 0, 0), (4, 4, 2), 0.5), np.arange(32) % 3, num_classes=3))
+        data = bytearray(path.read_bytes())
+        data[52:56] = struct.pack("<I", 0)
+        data[56:58] = bytes([254, EMPTY])
+        path.write_bytes(bytes(data))
+        assert load_grid(path).labels[:2].tolist() == [254, EMPTY]
 
 
 class TestFlowIO:

@@ -268,6 +268,29 @@ def _kernel_cases():
     ijk = rng.integers(3, [21, 21, 9], size=(400, 3))
     same = random_scene(rng, 400).with_arrays(means=(ijk + 0.5) * 0.25, log_scales=np.full((400, 3), np.log(0.2)))
     yield "multi_chunk_group", big, same
+    # long thin Gaussians in random orientations: their exact boxes are far smaller than the κ·max(scale) cube
+    needles = random_scene(rng, 24, lo=0.5, hi=3.5)
+    yield "rotated_needles", spec, needles.with_arrays(log_scales=np.tile(np.log([0.05, 0.05, 0.9]), (24, 1)))
+    yield "kappa_on_scale_axis", spec, _kappa_on_scale_axis_scene(spec)
+
+
+def _kappa_on_scale_axis_scene(spec):
+    # axis-aligned Gaussians, each with the centre of voxel (5, 4, 3) at exactly κ·s_k from its mean along axis k,
+    # and 1.0 on the other axes; for s_k = 0.7 on z, below the voxel, that pair rounds inside κ but outside an
+    # unpadded κ·√Σₖₖ box
+    center = voxel_center(spec, (5, 4, 3))
+    means, log_scales = [], []
+    for scale in (0.15, 0.4, 0.7, 0.9):
+        for k in range(3):
+            for sign in (1.0, -1.0):
+                ls = np.zeros(3)
+                ls[k] = np.log(scale)
+                off = np.zeros(3)
+                off[k] = sign * 3.0 * np.exp(ls[k])
+                means.append(center - off)
+                log_scales.append(ls)
+    n = len(means)
+    return GaussianScene(means, log_scales, np.tile([1.0, 0, 0, 0], (n, 1)), np.zeros((n, 3)), ("c0", "c1", "c2"))
 
 
 KERNEL_CASES = {name: (spec, scene) for name, spec, scene in _kernel_cases()}
@@ -281,6 +304,8 @@ def test_kernel_matches_per_gaussian_oracle(case, use_index, monkeypatch):
         assert sum(1 for _ in _block_chunks(scene, spec, 3.0, use_index)) >= 3
     if case == "many_pairs":
         assert sum(flat.size for _, flat, _, _ in _block_chunks(scene, spec, 3.0, use_index)) > 2**14
+    if case == "kappa_on_scale_axis":  # some voxel centre at κ rounds to inside the cutoff
+        assert any(np.any((q <= 9.0) & (q > 9.0 * (1 - 1e-12))) for *_, q in _block_chunks(scene, spec, 3.0, use_index))
     params = SplatParams(ClassConfig(3), use_index=use_index)
     labels = np.random.default_rng(3).choice([0, 1, 2, EMPTY], spec.num_voxels).astype(np.uint8)
     target = OccupancyGrid(spec, labels)
@@ -312,3 +337,25 @@ def test_kernel_matches_per_gaussian_oracle(case, use_index, monkeypatch):
         got = getattr(grads, group)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale, group
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_blocks_within_max_scale_box(case):
+    """No kernel block is larger than the κ·max(scale) box that the frozen oracle walks."""
+    spec, scene = KERNEL_CASES[case]
+    oracle = {gi: set(flat.tolist()) for gi, flat in _oracle_blocks(scene, spec, 3.0, True)}
+    for g, flat, _, _ in _block_chunks(scene, spec, 3.0, True):
+        for gi, row in zip(g, flat):
+            assert set(row.tolist()) <= oracle[gi]
+
+
+def test_axis_aligned_block_is_exact_per_axis():
+    """An axis-aligned Gaussian centred on a voxel gets 2⌊κ·s_k/vs⌋+1 voxels on axis k."""
+    spec = GridSpec((0, 0, 0), (32, 12, 12), 0.25)
+    scales = np.array([1.0, 0.1, 0.1])
+    g = SemanticGaussian(voxel_center(spec, (15, 6, 6)), np.log(scales), (1, 0, 0, 0), (0.0, 0.0, 0.0))
+    scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+    ((_, flat, _, _),) = _block_chunks(scene, spec, 3.0, True)
+    widths = [np.ptp(a) + 1 for a in spec.unflatten(flat[0])]
+    assert widths == [2 * math.floor(3.0 * s / spec.voxel_size) + 1 for s in scales] == [25, 3, 3]
+    assert flat.size == 25 * 3 * 3
