@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .flow import Waypoint, rotate2d
 
 
 @dataclass(frozen=True)
@@ -29,24 +30,17 @@ class Box:
         object.__setattr__(self, "yaw", float(self.yaw))
         object.__setattr__(self, "class_id", int(self.class_id))
 
-    def transformed(self, x, y, psi):
-        """Box as seen from the frame at planar pose (x, y, psi)."""
-        c, s = math.cos(-psi), math.sin(-psi)
-        cx = self.center[0] - x
-        cy = self.center[1] - y
-        return replace(
-            self,
-            center=(c * cx - s * cy, s * cx + c * cy, self.center[2]),
-            yaw=self.yaw - psi,
-        )
+    def transformed(self, pose: Waypoint):
+        """Box as seen from the frame at planar pose `pose`."""
+        x, y = pose.to_local(self.center[0], self.center[1])
+        return replace(self, center=(x, y, self.center[2]), yaw=self.yaw - pose.psi)
 
 
 def points_in_rect(points, x, y, yaw, half_length, half_width):
     """Boolean mask of points whose planar (x, y) lies in the oriented rectangle, edges included."""
     p = np.asarray(points, dtype=np.float64)
-    dx, dy = p[:, 0] - x, p[:, 1] - y
-    c, s = math.cos(yaw), math.sin(yaw)
-    return (np.abs(c * dx + s * dy) <= half_length) & (np.abs(-s * dx + c * dy) <= half_width)
+    lx, ly = rotate2d(p[:, 0] - x, p[:, 1] - y, -yaw)
+    return (np.abs(lx) <= half_length) & (np.abs(ly) <= half_width)
 
 
 def points_in_box(points, box: Box, margin=0.0):
@@ -58,11 +52,9 @@ def points_in_box(points, box: Box, margin=0.0):
 
 
 def _rect_corners(cx, cy, yaw, length, width):
-    c, s = math.cos(yaw), math.sin(yaw)
     hx, hy = length / 2.0, width / 2.0
-    local = np.array([[hx, hy], [hx, -hy], [-hx, -hy], [-hx, hy]])
-    R = np.array([[c, -s], [s, c]])
-    return local @ R.T + np.array([cx, cy])
+    x, y = rotate2d(np.array([hx, hx, -hx, -hx]), np.array([hy, -hy, -hy, hy]), yaw)
+    return x + cx, y + cy
 
 
 def rects_overlap(a, b):
@@ -70,10 +62,8 @@ def rects_overlap(a, b):
     ca = _rect_corners(*a)
     cb = _rect_corners(*b)
     for yaw in (a[2], b[2]):
-        for phi in (yaw, yaw + math.pi / 2.0):
-            axis = np.array([math.cos(phi), math.sin(phi)])
-            pa = ca @ axis
-            pb = cb @ axis
-            if pa.max() < pb.min() or pb.max() < pa.min():
-                return False
+        # each rectangle's corners in this yaw's frame: rows are projections onto its two edge axes
+        pa, pb = np.array(rotate2d(*ca, -yaw)), np.array(rotate2d(*cb, -yaw))
+        if np.any((pa.max(axis=1) < pb.min(axis=1)) | (pb.max(axis=1) < pa.min(axis=1))):
+            return False
     return True

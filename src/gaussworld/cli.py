@@ -30,9 +30,8 @@ def _load_spec(path):
         return gio.from_dict(GridSpec, json.load(f), "grid spec")
 
 
-def _splat_params(scene, empty_evidence=0.1, cutoff=3.0):
-    cfg = ClassConfig(scene.num_classes, empty_evidence=empty_evidence, mahalanobis_cutoff=cutoff)
-    return SplatParams(cfg)
+def _splat_params(scene):
+    return SplatParams(ClassConfig(scene.num_classes))
 
 
 def _write_report(path, rows):

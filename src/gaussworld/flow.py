@@ -4,6 +4,10 @@ Flows are cumulative per-Gaussian displacements from the observation frame;
 ego waypoints are planar poses (x, y, yaw) relative to that same frame. A
 forecast step moves the Gaussians by their displacement and then re-expresses
 the scene in the frame of the planned waypoint.
+
+The package's one planar frame convention lives here: angles turn
+counter-clockwise about +z, and other modules rotate, change frames and roll
+unicycles out through `rotate2d`, `Waypoint.to_parent`/`to_local` and `Waypoint.arc`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,12 @@ def wrap_angle(psi):
     if r > math.pi:
         r -= 2.0 * math.pi
     return r
+
+
+def rotate2d(x, y, psi):
+    """Planar coordinates (scalars or arrays) rotated counter-clockwise by psi, elementwise."""
+    c, s = math.cos(psi), math.sin(psi)
+    return c * x - s * y, s * x + c * y
 
 
 def yaw_matrix(psi):
@@ -50,13 +60,26 @@ class Waypoint:
     def identity(cls):
         return cls(0.0, 0.0, 0.0)
 
-    def rotation2d(self):
-        c, s = math.cos(self.psi), math.sin(self.psi)
-        return np.array([[c, -s], [s, c]])
+    @classmethod
+    def arc(cls, speed, turn_rate, t):
+        """Pose after time t from the identity at constant speed and turn rate (rad/s)."""
+        if turn_rate == 0.0:
+            return cls(speed * t, 0.0, 0.0)
+        psi = turn_rate * t
+        r = speed / turn_rate
+        return cls(r * math.sin(psi), r * (1.0 - math.cos(psi)), psi)
+
+    def to_parent(self, x, y):
+        """Coordinates given in this pose's frame, re-expressed in the frame the pose lives in."""
+        px, py = rotate2d(x, y, self.psi)
+        return self.x + px, self.y + py
+
+    def to_local(self, x, y):
+        """Coordinates given in the frame the pose lives in, re-expressed in this pose's frame."""
+        return rotate2d(x - self.x, y - self.y, -self.psi)
 
     def inverse(self):
-        t = -self.rotation2d().T @ np.array([self.x, self.y])
-        return Waypoint(t[0], t[1], -self.psi)
+        return Waypoint(*self.to_local(0.0, 0.0), -self.psi)
 
 
 @dataclass(frozen=True)
@@ -111,8 +134,7 @@ class FlowField:
 
 def compose(w1: Waypoint, w2: Waypoint):
     """SE(2) composition: the pose of w2 expressed through w1."""
-    t = np.array([w1.x, w1.y]) + w1.rotation2d() @ np.array([w2.x, w2.y])
-    return Waypoint(t[0], t[1], w1.psi + w2.psi)
+    return Waypoint(*w1.to_parent(w2.x, w2.y), w1.psi + w2.psi)
 
 
 def apply_flow(scene: GaussianScene, flow_step, cfg: ClassConfig = None):
@@ -134,14 +156,11 @@ def ego_transform(scene: GaussianScene, w: Waypoint):
     means = (scene.means - np.array([w.x, w.y, 0.0])) @ yaw_matrix(-w.psi).T
     half = -0.5 * w.psi
     q_yaw = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
-    rotations = (
-        quat_multiply(q_yaw[None, :], scene.rotations) if len(scene) else scene.rotations
-    )
     pose = compose(Waypoint(*scene.frame_pose), w)
     return replace(
         scene,
         means=means,
-        rotations=rotations,
+        rotations=quat_multiply(q_yaw[None, :], scene.rotations),
         frame_pose=(pose.x, pose.y, pose.psi),
     )
 

@@ -101,12 +101,14 @@ def load_scene(path):
     except (TypeError, ValueError) as e:
         raise FormatError(f"gaussian {i}: {e}") from e
     timestamp_index = doc.get("timestamp_index", 0)
-    if not isinstance(timestamp_index, (int, float)):
+    if isinstance(timestamp_index, bool) or not isinstance(timestamp_index, (int, float)):
         raise FormatError(f"field 'timestamp_index' must be a number, not {type(timestamp_index).__name__}")
     try:
-        timestamp_index = int(timestamp_index)
+        whole = int(timestamp_index)
     except (OverflowError, ValueError) as e:
         raise FormatError(f"field 'timestamp_index' must be finite, not {timestamp_index!r}") from e
+    if whole != timestamp_index:
+        raise FormatError(f"field 'timestamp_index' must be a whole number, not {timestamp_index!r}")
     return GaussianScene(
         means,
         log_scales,
@@ -114,7 +116,7 @@ def load_scene(path):
         logits,
         class_names,
         doc.get("frame_pose", (0.0, 0.0, 0.0)),
-        timestamp_index,
+        whole,
     )
 
 

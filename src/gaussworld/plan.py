@@ -9,7 +9,6 @@ lower index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,14 +54,7 @@ class PlannerConfig:
 
 def unicycle_rollout(speed, curvature, num_steps, dt):
     """Closed-form constant-speed, constant-curvature rollout from the origin pose."""
-    wps = []
-    for k in range(1, num_steps + 1):
-        t = k * dt
-        if curvature == 0.0:
-            wps.append(Waypoint(speed * t, 0.0, 0.0))
-        else:
-            psi = speed * curvature * t
-            wps.append(Waypoint(math.sin(psi) / curvature, (1.0 - math.cos(psi)) / curvature, psi))
+    wps = (Waypoint.arc(speed, speed * curvature, k * dt) for k in range(1, num_steps + 1))
     return Trajectory(tuple(wps), dt)
 
 

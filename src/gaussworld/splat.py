@@ -48,8 +48,8 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
     """Yield (g, flat, u, q) for chunks of Gaussians that share one block shape.
 
     Each Gaussian's block is the voxel box of its κ ellipsoid: half-width
-    κ·√Σₖₖ = κ·√(Σⱼ Rₖⱼ² sⱼ²) on axis k, padded by a relative 1e-9 so that q's
-    rounding cannot leave an inside pair out, capped at the κ·max(scale) box and
+    κ·√Σₖₖ = κ·√(Σⱼ Rₖⱼ² sⱼ²) on axis k, capped at the κ·max(scale) box, padded
+    by a relative 1e-9 so that q's rounding cannot leave an inside pair out, and
     clipped to the grid (the whole grid when use_index is off). g (B,) holds
     ascending Gaussian indices, flat (B, n) their block voxels in i-slowest
     order, u = Rᵀ(center − mean) (B, n, 3), and q (B, n) the squared
@@ -60,9 +60,10 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
     rots = quat_to_rot(scene.rotations)
     if use_index:
         ls = scene.log_scales
-        r = kappa * np.sqrt(np.einsum("nkj,nj->nk", rots * rots, np.exp(2.0 * ls))) * (1 + 1e-9)
+        r = kappa * np.sqrt(np.einsum("nkj,nj->nk", rots * rots, np.exp(2.0 * ls)))
         # κ·max(scale) from elementwise maxima: np.max over a length-3 axis costs more than the whole box
-        r = np.minimum(r, kappa * np.exp(np.maximum(np.maximum(ls[:, 0], ls[:, 1]), ls[:, 2]))[:, None])
+        cap = kappa * np.exp(np.maximum(np.maximum(ls[:, 0], ls[:, 1]), ls[:, 2]))
+        r = np.minimum(r, cap[:, None]) * (1 + 1e-9)
         o, vs = np.array(spec.origin), spec.voxel_size
         lo = np.maximum(np.ceil((scene.means - r - o) / vs - 0.5).astype(int), 0)
         hi = np.minimum(np.floor((scene.means + r - o) / vs - 0.5).astype(int), dims - 1)

@@ -9,7 +9,6 @@ fitted at the first step.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import io as gio
 from .boxes import Box, points_in_box
 from .core import EMPTY, GaussianScene
-from .flow import FlowField, Trajectory, Waypoint
+from .flow import FlowField, Trajectory, Waypoint, compose
 from .grid import GridSpec, OccupancyGrid, voxel_centers
 from .plan import unicycle_rollout
 
@@ -39,19 +38,9 @@ class AgentSpec:
         object.__setattr__(self, "size", tuple(self.size))
 
     def pose_at(self, t):
-        """Closed-form unicycle pose (x, y, yaw) after time t."""
-        if self.turn_rate == 0.0:
-            return (
-                self.x + self.speed * t * math.cos(self.yaw),
-                self.y + self.speed * t * math.sin(self.yaw),
-                self.yaw,
-            )
-        dpsi = self.turn_rate * t
-        r = self.speed / self.turn_rate
-        dx = r * math.sin(dpsi)
-        dy = r * (1.0 - math.cos(dpsi))
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return (self.x + c * dx - s * dy, self.y + s * dx + c * dy, self.yaw + dpsi)
+        """Closed-form unicycle pose (x, y, yaw) after time t; yaw is wrapped to (-pi, pi]."""
+        pose = compose(Waypoint(self.x, self.y, self.yaw), Waypoint.arc(self.speed, self.turn_rate, t))
+        return pose.x, pose.y, pose.psi
 
     def box_at(self, t, z_center=None):
         x, y, yaw = self.pose_at(t)
@@ -174,7 +163,7 @@ def generate(cfg: ScenarioConfig):
         agent_boxes = [a.box_at(t) for a in cfg.agents]
         gt_boxes.append(tuple(agent_boxes))
         pose = ego_poses[k]
-        frame_boxes = [b.transformed(pose.x, pose.y, pose.psi) for b in statics + agent_boxes]
+        frame_boxes = [b.transformed(pose) for b in statics + agent_boxes]
         grid = rasterize_boxes(frame_boxes, cfg.spec)
         gt_grids.append(OccupancyGrid(cfg.spec, grid.labels, C))
 
@@ -276,18 +265,10 @@ def gt_flows(scenario: Scenario, scene: GaussianScene, margin=0.5):
         sel = (arg == a.class_id) & points_in_box(scene.means, a.box_at(0.0), margin)
         if not np.any(sel):
             continue
-        x0, y0, yaw0 = a.pose_at(0.0)
-        c0, s0 = math.cos(yaw0), math.sin(yaw0)
-        dx = scene.means[sel, 0] - x0
-        dy = scene.means[sel, 1] - y0
-        # local offset in the agent frame at step 0
-        lx = c0 * dx + s0 * dy
-        ly = -s0 * dx + c0 * dy
+        # local offset in the agent frame at step 0, carried along with the agent
+        lx, ly = Waypoint(*a.pose_at(0.0)).to_local(scene.means[sel, 0], scene.means[sel, 1])
         for k in range(1, F + 1):
-            xk, yk, yawk = a.pose_at(k * cfg.dt)
-            ck, sk = math.cos(yawk), math.sin(yawk)
-            px = xk + ck * lx - sk * ly
-            py = yk + sk * lx + ck * ly
+            px, py = Waypoint(*a.pose_at(k * cfg.dt)).to_parent(lx, ly)
             steps[k - 1, sel, 0] = px - scene.means[sel, 0]
             steps[k - 1, sel, 1] = py - scene.means[sel, 1]
     return FlowField(steps)

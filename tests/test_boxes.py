@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gaussworld.boxes import points_in_rect
+from gaussworld.boxes import points_in_rect, rects_overlap
 
 
 def test_points_in_rect_rotated_quarter_turn():
@@ -27,3 +29,41 @@ def test_points_in_rect_rotated_quarter_turn():
 def test_points_in_rect_unrotated_edges_inclusive():
     pts = np.array([[2.3, 0.95], [-2.3, -0.95], [2.3000001, 0.0], [0.0, -0.9500001]])
     assert points_in_rect(pts, 0.0, 0.0, 0.0, 2.3, 0.95).tolist() == [True, True, False, False]
+
+
+def _oracle_sat_gaps(a, b):
+    """Frozen per-axis separating-axis test: the signed gap along each rectangle's two edge normals."""
+
+    def corners(cx, cy, yaw, length, width):
+        c, s = math.cos(yaw), math.sin(yaw)
+        hx, hy = length / 2.0, width / 2.0
+        local = np.array([[hx, hy], [hx, -hy], [-hx, -hy], [-hx, hy]])
+        return local @ np.array([[c, -s], [s, c]]).T + np.array([cx, cy])
+
+    ca, cb = corners(*a), corners(*b)
+    gaps = []
+    for yaw in (a[2], b[2]):
+        for phi in (yaw, yaw + math.pi / 2.0):
+            axis = np.array([math.cos(phi), math.sin(phi)])
+            pa, pb = ca @ axis, cb @ axis
+            gaps.append(max(pb.min() - pa.max(), pa.min() - pb.max()))
+    return gaps
+
+
+rects = st.tuples(
+    st.floats(-6.0, 6.0), st.floats(-6.0, 6.0), st.floats(-7.0, 7.0), st.floats(0.5, 6.0), st.floats(0.5, 3.0)
+)
+
+
+@given(rects, rects)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rects_overlap_matches_frozen_sat(a, b):
+    gaps = _oracle_sat_gaps(a, b)
+    assume(min(abs(g) for g in gaps) > 1e-9)  # touching rectangles depend on the last bit of each axis
+    assert rects_overlap(a, b) == all(g <= 0 for g in gaps)
+
+
+def test_rects_touching_edges_overlap():
+    assert rects_overlap((0.0, 0.0, 0.0, 4.0, 2.0), (4.0, 0.0, 0.0, 4.0, 2.0))
+    assert rects_overlap((0.0, 0.0, 0.0, 4.0, 2.0), (0.0, 2.0, 0.0, 4.0, 2.0))
+    assert not rects_overlap((0.0, 0.0, 0.0, 4.0, 2.0), (0.0, 2.01, 0.0, 4.0, 2.0))

@@ -55,6 +55,11 @@ class TestSceneIO:
         with pytest.raises(FormatError, match="version"):
             load_scene(path)
 
+    def test_whole_float_timestamp_loads(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text('{"format": "gauss-scene", "version": 1, "class_names": [], "gaussians": [], "timestamp_index": 2.0}')
+        assert load_scene(path).timestamp_index == 2
+
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -87,6 +92,8 @@ class TestSceneIO:
             (lambda d: {**d, "timestamp_index": [1]}, FormatError, "timestamp_index"),
             (lambda d: {**d, "timestamp_index": float("inf")}, FormatError, "'timestamp_index' must be finite, not inf"),
             (lambda d: {**d, "timestamp_index": float("nan")}, FormatError, "'timestamp_index' must be finite, not nan"),
+            (lambda d: {**d, "timestamp_index": 1.5}, FormatError, "'timestamp_index' must be a whole number, not 1.5"),
+            (lambda d: {**d, "timestamp_index": True}, FormatError, "'timestamp_index' must be a number, not bool"),
         ],
     )
     def test_malformed_documents_raise_typed_errors(self, edit, error, match, tmp_path):

@@ -349,6 +349,18 @@ def test_blocks_within_max_scale_box(case):
             assert set(row.tolist()) <= oracle[gi]
 
 
+def test_block_reaches_voxel_at_kappa_max_scale():
+    """A voxel centre at exactly κ·max(scale) from the mean rounds inside the cutoff; the capped block keeps it."""
+    spec = GridSpec((0, 0, 0), (10, 9, 7), 0.4)
+    mean = voxel_center(spec, (5, 4, 3)) - np.array([0.0, 0.0, 2.1])  # κ·0.7 below the centre
+    g = SemanticGaussian(mean, np.log([0.1, 0.1, 0.7]), (1, 0, 0, 0), (0.0, 0.0, 0.0))
+    scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+    F_sparse, _ = evidence_field(scene, spec, SplatParams(ClassConfig(3), use_index=True))
+    F_full, _ = evidence_field(scene, spec, SplatParams(ClassConfig(3), use_index=False))
+    assert F_full[spec.flat_index(5, 4, 3)].min() > 0
+    assert np.array_equal(F_sparse, F_full)
+
+
 def test_axis_aligned_block_is_exact_per_axis():
     """An axis-aligned Gaussian centred on a voxel gets 2⌊κ·s_k/vs⌋+1 voxels on axis k."""
     spec = GridSpec((0, 0, 0), (32, 12, 12), 0.25)
