@@ -4,12 +4,6 @@ from .core import (
     EMPTY,
     ClassConfig,
     GaussianScene,
-    SemanticGaussian,
-    class_field_at,
-    confidence,
-    covariance,
-    density_at,
-    label_at,
     prune,
     scene_confidences,
 )
@@ -24,7 +18,7 @@ from .flow import (
     forecast,
 )
 from .fit import FitConfig, OptimizationError, check_gradients, fit_flows, fit_gaussians, init_uniform
-from .grid import GridSpec, OccupancyGrid, voxel_center
+from .grid import GridSpec, OccupancyGrid
 from .losses import (
     LossWeights,
     SceneDescription,
@@ -47,12 +41,6 @@ __all__ = [
     "EMPTY",
     "ClassConfig",
     "GaussianScene",
-    "SemanticGaussian",
-    "class_field_at",
-    "confidence",
-    "covariance",
-    "density_at",
-    "label_at",
     "prune",
     "scene_confidences",
     "FlowField",
@@ -65,7 +53,6 @@ __all__ = [
     "forecast",
     "GridSpec",
     "OccupancyGrid",
-    "voxel_center",
     "GaussianGrads",
     "SplatParams",
     "occupancy_loss",

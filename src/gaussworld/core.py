@@ -1,4 +1,4 @@
-"""Semantic 3D Gaussians: covariance math, density kernels, scene labeling, pruning.
+"""Semantic 3D Gaussians: the scene type, quaternion math, class config, pruning.
 
 A scene is a sparse set of anisotropic Gaussian kernels, each carrying a vector
 of class logits. Dense semantics are recovered by evaluating the class-weighted
@@ -87,41 +87,12 @@ def softmax(logits, axis=-1):
 
 
 @dataclass(frozen=True)
-class SemanticGaussian:
-    """One scene primitive: position, axis scales (log meters), orientation, class logits."""
-
-    mean: np.ndarray
-    log_scale: np.ndarray
-    rotation: np.ndarray  # unit quaternion (w,x,y,z)
-    logits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _as_float_array(self.mean, 3, "mean"))
-        ls = _as_float_array(self.log_scale, 3, "log_scale")
-        object.__setattr__(self, "log_scale", np.clip(ls, LOG_SCALE_MIN, LOG_SCALE_MAX))
-        q = _as_float_array(self.rotation, 4, "rotation")
-        object.__setattr__(self, "rotation", quat_normalize(q))
-        lg = np.asarray(self.logits, dtype=np.float64)
-        if lg.ndim != 1 or lg.size < 1:
-            raise ValueError("logits must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(lg)):
-            raise ValueError("logits must be finite")
-        object.__setattr__(self, "logits", lg)
-        for a in (self.mean, self.log_scale, self.rotation, self.logits):
-            a.setflags(write=False)
-
-    @property
-    def num_classes(self):
-        return self.logits.size
-
-
-@dataclass(frozen=True)
 class GaussianScene:
     """Ordered Gaussian collection with a class table and an SE(2) frame tag.
 
     Stored struct-of-arrays: means (N,3), log_scales (N,3), rotations (N,4),
     logits (N,C). Order is stable; per-Gaussian side data (flows, confidences)
-    index into this order.
+    index into this order. Construction is the one place a scene is validated.
     """
 
     means: np.ndarray
@@ -150,9 +121,9 @@ class GaussianScene:
             raise ValueError(
                 f"logits width {lg.shape[1]} != number of classes {len(self.class_names)}"
             )
-        for a in (m, ls, lg):
+        for name, a in (("means", m), ("log_scales", ls), ("rotations", q), ("logits", lg)):
             if not np.all(np.isfinite(a)):
-                raise ValueError("scene arrays must be finite")
+                raise ValueError(f"scene {name} must be finite")
         q = quat_normalize(q) if q.shape[0] else q
         for a in (m, ls, q, lg):
             a.setflags(write=False)
@@ -164,28 +135,8 @@ class GaussianScene:
         pose = _as_float_array(self.frame_pose, 3, "frame_pose")
         object.__setattr__(self, "frame_pose", tuple(float(v) for v in pose))
 
-    @classmethod
-    def from_gaussians(cls, gaussians, class_names, frame_pose=(0.0, 0.0, 0.0), timestamp_index=0):
-        C = len(class_names)
-        if gaussians:
-            if any(g.num_classes != C for g in gaussians):
-                raise ValueError("all Gaussians must share the scene class count")
-            means = np.stack([g.mean for g in gaussians])
-            log_scales = np.stack([g.log_scale for g in gaussians])
-            rotations = np.stack([g.rotation for g in gaussians])
-            logits = np.stack([g.logits for g in gaussians])
-        else:
-            means = np.zeros((0, 3))
-            log_scales = np.zeros((0, 3))
-            rotations = np.zeros((0, 4))
-            logits = np.zeros((0, C))
-        return cls(means, log_scales, rotations, logits, class_names, frame_pose, timestamp_index)
-
     def __len__(self):
         return self.means.shape[0]
-
-    def __getitem__(self, i) -> SemanticGaussian:
-        return SemanticGaussian(self.means[i], self.log_scales[i], self.rotations[i], self.logits[i])
 
     @property
     def num_classes(self):
@@ -245,62 +196,8 @@ def dynamic_mask(scene: GaussianScene, cfg: ClassConfig):
     return np.isin(np.argmax(scene.logits, axis=1), sorted(cfg.dynamic_class_ids))
 
 
-def covariance(log_scale, rotation):
-    """Covariance Σ = R·diag(exp(2·log_scale))·Rᵀ. Always SPD for clamped scales."""
-    ls = np.asarray(log_scale, dtype=np.float64)
-    q = np.asarray(rotation, dtype=np.float64)
-    if not (np.all(np.isfinite(ls)) and np.all(np.isfinite(q))):
-        raise ValueError("non-finite covariance parameters")
-    R = quat_to_rot(quat_normalize(q))
-    return (R * np.exp(2.0 * ls)) @ R.T
-
-
-def mahalanobis_sq(g: SemanticGaussian, x):
-    """Squared Mahalanobis distance from the Gaussian mean to x."""
-    d = np.asarray(x, dtype=np.float64) - g.mean
-    u = quat_to_rot(g.rotation).T @ d
-    return float(np.sum(u * u * np.exp(-2.0 * g.log_scale)))
-
-
-def density_at(g: SemanticGaussian, x, cutoff=None):
-    """Unnormalized kernel exp(-½·mahalanobis²); 0 beyond the cutoff if one is given."""
-    m2 = mahalanobis_sq(g, x)
-    if cutoff is not None and m2 > cutoff * cutoff:
-        return 0.0
-    return math.exp(-0.5 * m2)
-
-
-def class_field_at(scene: GaussianScene, x, cfg: ClassConfig):
-    """Per-class evidence F_c(x) = Σ_i softmax(logits_i)_c · density_i(x), with κ cutoff."""
-    if len(scene) == 0:
-        return np.zeros(cfg.num_classes)
-    x = np.asarray(x, dtype=np.float64)
-    d = x[None, :] - scene.means  # (N,3)
-    R = quat_to_rot(scene.rotations)  # (N,3,3)
-    u = np.einsum("nij,ni->nj", R, d)  # Rᵀd per Gaussian
-    q2 = np.sum(u * u * np.exp(-2.0 * scene.log_scales), axis=1)
-    rho = np.where(q2 <= cfg.mahalanobis_cutoff**2, np.exp(-0.5 * q2), 0.0)
-    return rho @ scene.class_probs()
-
-
-def label_at(scene: GaussianScene, x, cfg: ClassConfig):
-    """Class label at x, or EMPTY when total evidence falls below the threshold.
-
-    Ties in the per-class field break toward the lowest class index.
-    """
-    F = class_field_at(scene, x, cfg)
-    if float(np.sum(F)) < cfg.empty_evidence:
-        return EMPTY
-    return int(np.argmax(F))
-
-
-def confidence(g: SemanticGaussian):
-    """Semantic confidence: the largest softmax probability of the logits."""
-    return float(np.max(softmax(g.logits)))
-
-
 def scene_confidences(scene: GaussianScene):
-    """Vector of semantic confidences, one per Gaussian."""
+    """Semantic confidences, one per Gaussian: the largest softmax probability of its logits."""
     if len(scene) == 0:
         return np.zeros(0)
     return np.max(scene.class_probs(), axis=1)

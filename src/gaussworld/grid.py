@@ -51,25 +51,9 @@ class GridSpec:
         nx, ny, _ = self.dims
         return i + nx * (j + ny * k)
 
-    def unflatten(self, idx):
-        nx, ny, _ = self.dims
-        i = idx % nx
-        j = (idx // nx) % ny
-        k = idx // (nx * ny)
-        return i, j, k
-
     def extent(self):
         """Physical side lengths (meters) per axis."""
         return tuple(n * self.voxel_size for n in self.dims)
-
-
-def voxel_center(spec: GridSpec, ijk):
-    """Center of voxel ijk: origin + (ijk + 0.5)·voxel_size."""
-    i, j, k = (int(v) for v in ijk)
-    nx, ny, nz = spec.dims
-    if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-        raise IndexError(f"voxel {ijk} outside dims {spec.dims}")
-    return np.array(spec.origin) + (np.array([i, j, k]) + 0.5) * spec.voxel_size
 
 
 def voxel_centers(spec: GridSpec):
@@ -92,7 +76,10 @@ class OccupancyGrid:
     num_classes: int = 0
 
     def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.uint8).reshape(self.spec.num_voxels)
+        lab = np.asarray(self.labels)
+        if lab.dtype != np.uint8 and not np.all((lab >= 0) & (lab <= EMPTY)):  # NaN fails too
+            raise ValueError(f"labels must lie in 0..{EMPTY}")
+        lab = lab.astype(np.uint8, copy=False).reshape(self.spec.num_voxels)
         lab.setflags(write=False)
         object.__setattr__(self, "labels", lab)
         object.__setattr__(self, "num_classes", int(self.num_classes))
@@ -106,14 +93,3 @@ class OccupancyGrid:
             return self.num_classes
         sem = self.labels[self.labels != EMPTY]
         return int(sem.max()) + 1 if sem.size else 1
-
-    def label(self, i, j, k):
-        return int(self.labels[self.spec.flat_index(i, j, k)])
-
-    def occupied_fraction(self):
-        return float(np.mean(self.labels != EMPTY))
-
-    def as_3d(self):
-        """Labels reshaped to (nx, ny, nz)."""
-        nx, ny, nz = self.spec.dims
-        return self.labels.reshape(nz, ny, nx).transpose(2, 1, 0)

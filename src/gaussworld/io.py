@@ -211,10 +211,13 @@ def load_trajectory(path, dt=0.5):
             raise FormatError(f"trajectory CSV row {n} has no {short[0]!r} value")
         for c, cast in zip(TRAJECTORY_HEADER, (int, float, float, float)):
             try:
-                r[c] = cast(r[c])
+                v = cast(r[c])
             except ValueError:
                 kind = "an integer" if cast is int else "a number"
                 raise FormatError(f"trajectory CSV row {n} column {c!r} is not {kind}: {r[c]!r}") from None
+            if not np.isfinite(v):
+                raise FormatError(f"trajectory CSV row {n} column {c!r} is not finite: {r[c]!r}")
+            r[c] = v
     rows.sort(key=lambda r: r["step"])
     for k, r in enumerate(rows, start=1):
         if r["step"] != k:

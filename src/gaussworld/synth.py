@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as gio
 from .boxes import Box, points_in_box
-from .core import EMPTY, GaussianScene
+from .core import EMPTY, MAX_CLASSES, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint, compose
 from .grid import GridSpec, OccupancyGrid, voxel_centers
 from .plan import unicycle_rollout
@@ -77,6 +77,15 @@ class ScenarioConfig:
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
         object.__setattr__(self, "agents", tuple(self.agents))
+        # class ids become uint8 labels, in which EMPTY (255) is not a class
+        ids = {f"agents[{i}].class_id": a.class_id for i, a in enumerate(self.agents)}
+        if self.layout is not None:
+            ids |= {f"layout.{k}": getattr(self.layout, k) for k in ("drivable_class_id", "wall_class_id")}
+        for name, v in ids.items():
+            if not 0 <= v < MAX_CLASSES:
+                raise ValueError(f"{name} must lie in 0..{MAX_CLASSES - 1}, not {v}")
+        if not 0 <= self.num_classes <= MAX_CLASSES:
+            raise ValueError(f"num_classes must lie in 0..{MAX_CLASSES}, not {self.num_classes}")
 
     def inferred_num_classes(self):
         if self.num_classes:

@@ -5,27 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussworld.core import (
-    EMPTY,
-    ClassConfig,
-    GaussianScene,
-    SemanticGaussian,
-    class_field_at,
-    confidence,
-    covariance,
-    density_at,
-    label_at,
-    prune,
-    quat_to_rot,
-    scene_confidences,
-)
+from gaussworld.core import EMPTY, ClassConfig, GaussianScene, prune, quat_to_rot, scene_confidences
+from gaussworld.grid import GridSpec, voxel_centers
+from gaussworld.splat import SplatParams, evidence_field
 from tests.conftest import random_scene
+from tests.oracles import class_field_at, covariance, label_at
 
 QUAT_90Z = (math.cos(math.pi / 4), 0.0, 0.0, math.sin(math.pi / 4))
 
 
+# with one class the field is the bare kernel value exp(-½·q)
+CFG1 = ClassConfig(1)
+UNCUT = ClassConfig(1, mahalanobis_cutoff=1e3)
+
+
 def unit_gaussian(mean=(0, 0, 0), logits=(0.0,)):
-    return SemanticGaussian(mean, (0, 0, 0), (1, 0, 0, 0), logits)
+    """A one-Gaussian scene with unit scales and no rotation."""
+    return GaussianScene(mean, (0, 0, 0), (1, 0, 0, 0), logits, tuple(f"c{i}" for i in range(len(logits))))
 
 
 class TestCovariance:
@@ -61,52 +57,64 @@ class TestCovariance:
 
 class TestDensity:
     def test_peak_at_mean(self):
-        assert density_at(unit_gaussian(), (0, 0, 0)) == 1.0
+        assert class_field_at(unit_gaussian(), (0, 0, 0), CFG1)[0] == 1.0
 
     def test_unit_offset(self):
-        assert density_at(unit_gaussian(), (1, 0, 0)) == pytest.approx(math.exp(-0.5))
+        assert class_field_at(unit_gaussian(), (1, 0, 0), CFG1)[0] == pytest.approx(math.exp(-0.5))
 
     def test_matches_dense_inverse_oracle(self, rng):
         for _ in range(20):
-            g = SemanticGaussian(
-                rng.normal(size=3), rng.uniform(-1, 1, 3), rng.normal(size=4), rng.normal(size=2)
-            )
+            mean, ls, q = rng.normal(size=3), rng.uniform(-1, 1, 3), rng.normal(size=4)
+            scene = GaussianScene(mean, ls, q, (0.0,), ("c0",))
             x = rng.normal(size=3)
-            d = x - g.mean
-            m2 = d @ np.linalg.inv(covariance(g.log_scale, g.rotation)) @ d
-            assert density_at(g, x) == pytest.approx(math.exp(-0.5 * m2), rel=1e-9)
+            d = x - mean
+            m2 = d @ np.linalg.inv(covariance(ls, q)) @ d
+            assert class_field_at(scene, x, UNCUT)[0] == pytest.approx(math.exp(-0.5 * m2), rel=1e-9)
+
+    def test_kernel_matches_dense_inverse_oracle(self, rng):
+        spec = GridSpec((-2, -2, -2), (8, 8, 8), 0.5)
+        centers = voxel_centers(spec)
+        for _ in range(10):
+            mean, ls, q = rng.normal(size=3), rng.uniform(-1, 1, 3), rng.normal(size=4)
+            scene = GaussianScene(mean, ls, q, (0.0,), ("c0",))
+            F, _ = evidence_field(scene, spec, SplatParams(CFG1))
+            d = centers - mean
+            m2 = np.einsum("vi,ij,vj->v", d, np.linalg.inv(covariance(ls, q)), d)
+            # a voxel whose m2 lies within rounding of κ² = 9 may fall on either side of the cutoff
+            sure = np.abs(m2 - 9.0) > 1e-9
+            want = np.where(m2 <= 9.0, np.exp(-0.5 * m2), 0.0)
+            assert np.allclose(F[sure, 0], want[sure], rtol=1e-9, atol=0.0)
 
     def test_cutoff(self):
         g = unit_gaussian()
-        assert density_at(g, (5, 0, 0), cutoff=3.0) == 0.0
-        assert density_at(g, (2, 0, 0), cutoff=3.0) > 0.0
+        assert class_field_at(g, (5, 0, 0), CFG1)[0] == 0.0
+        assert class_field_at(g, (2, 0, 0), CFG1)[0] > 0.0
 
     def test_rotation_consistency(self, rng):
         # rotating both the gaussian and the query leaves the value unchanged
         from gaussworld.core import quat_multiply, quat_normalize
 
         for _ in range(10):
-            g = SemanticGaussian(
-                rng.normal(size=3), rng.uniform(-1, 1, 3), rng.normal(size=4), rng.normal(size=2)
-            )
+            mean, ls = rng.normal(size=3), rng.uniform(-1, 1, 3)
+            scene = GaussianScene(mean, ls, rng.normal(size=4), (0.0,), ("c0",))
             x = rng.normal(size=3)
             q = quat_normalize(rng.normal(size=4))
             R = quat_to_rot(q)
-            g2 = SemanticGaussian(R @ g.mean, g.log_scale, quat_multiply(q, g.rotation), g.logits)
-            assert density_at(g2, R @ x) == pytest.approx(density_at(g, x), abs=1e-12)
+            turned = GaussianScene(R @ mean, ls, quat_multiply(q, scene.rotations[0]), (0.0,), ("c0",))
+            want = class_field_at(scene, x, UNCUT)[0]
+            assert class_field_at(turned, R @ x, UNCUT)[0] == pytest.approx(want, abs=1e-12)
 
 
 class TestClassField:
     def test_empty_scene(self, cfg3):
-        scene = GaussianScene.from_gaussians([], ("a", "b", "c"))
+        scene = GaussianScene([], [], [], [], ("a", "b", "c"))
         assert np.array_equal(class_field_at(scene, (0, 0, 0), cfg3), np.zeros(3))
 
     def test_softmax_weights_at_mean(self, cfg3):
         # independent softmax: exp(2)=7.38905609893065, p = (e0,e0,e2)/(2+e2)
         e2 = 7.38905609893065
         p = np.array([1.0, 1.0, e2]) / (2.0 + e2)
-        g = SemanticGaussian((1, 1, 1), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0, 2.0))
-        scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+        scene = GaussianScene((1, 1, 1), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0, 2.0), ("a", "b", "c"))
         F = class_field_at(scene, (1, 1, 1), cfg3)
         assert np.allclose(F, p, atol=1e-12)
         assert F[2] == pytest.approx(0.7870, abs=1e-4)
@@ -129,9 +137,8 @@ class TestClassField:
         )
 
     def test_two_identical_gaussians_double(self, cfg3):
-        g = SemanticGaussian((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0, 2.0))
-        one = GaussianScene.from_gaussians([g], ("a", "b", "c"))
-        two = GaussianScene.from_gaussians([g, g], ("a", "b", "c"))
+        one = GaussianScene((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0, 2.0), ("a", "b", "c"))
+        two = one.take([0, 0])
         assert np.allclose(
             class_field_at(two, (0.3, 0, 0), cfg3), 2 * class_field_at(one, (0.3, 0, 0), cfg3)
         )
@@ -139,22 +146,19 @@ class TestClassField:
 
 class TestLabel:
     def test_empty_scene_is_empty(self, cfg3):
-        scene = GaussianScene.from_gaussians([], ("a", "b", "c"))
+        scene = GaussianScene([], [], [], [], ("a", "b", "c"))
         assert label_at(scene, (0, 0, 0), cfg3) == EMPTY
 
     def test_dominant_class_at_mean(self, cfg3):
-        g = SemanticGaussian((0, 0, 0), (-2, -2, -2), (1, 0, 0, 0), (0.0, 0.0, 4.0))
-        scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+        scene = GaussianScene((0, 0, 0), (-2, -2, -2), (1, 0, 0, 0), (0.0, 0.0, 4.0), ("a", "b", "c"))
         assert label_at(scene, (0, 0, 0), cfg3) == 2
 
     def test_far_point_is_empty(self, cfg3):
-        g = SemanticGaussian((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0, 4.0))
-        scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+        scene = GaussianScene((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0, 4.0), ("a", "b", "c"))
         assert label_at(scene, (5.0, 0, 0), cfg3) == EMPTY
 
     def test_tie_breaks_low_index(self, cfg3):
-        g = SemanticGaussian((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (1.0, 1.0, 0.0))
-        scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+        scene = GaussianScene((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (1.0, 1.0, 0.0), ("a", "b", "c"))
         assert label_at(scene, (0, 0, 0), cfg3) == 0
 
     def test_deterministic(self, rng, cfg3):
@@ -166,23 +170,23 @@ class TestLabel:
 
 class TestConfidence:
     def test_uniform(self):
-        assert confidence(unit_gaussian(logits=(0, 0, 0, 0))) == pytest.approx(0.25)
+        assert scene_confidences(unit_gaussian(logits=(0, 0, 0, 0)))[0] == pytest.approx(0.25)
 
     def test_peaked(self):
         # softmax by hand: 1/(1 + 2·e^-10)
         expected = 1.0 / (1.0 + 2.0 * math.exp(-10.0))
-        assert confidence(unit_gaussian(logits=(10.0, 0.0, 0.0))) == pytest.approx(expected)
-        assert confidence(unit_gaussian(logits=(10.0, 0.0, 0.0))) == pytest.approx(0.99991, abs=1e-5)
+        assert scene_confidences(unit_gaussian(logits=(10.0, 0.0, 0.0)))[0] == pytest.approx(expected)
+        assert scene_confidences(unit_gaussian(logits=(10.0, 0.0, 0.0)))[0] == pytest.approx(0.99991, abs=1e-5)
 
     def test_single_class(self):
-        assert confidence(unit_gaussian(logits=(3.7,))) == 1.0
+        assert scene_confidences(unit_gaussian(logits=(3.7,)))[0] == 1.0
 
 
 def scene_with_confidence_pattern():
     # confidences ~ (high, low, mid, low, mid-high); indices 1 and 3 tie exactly
     logit_rows = [(6.0, 0, 0, 0), (0, 0, 0, 0), (1.5, 0, 0, 0), (0, 0, 0, 0), (3.0, 0, 0, 0)]
-    gs = [SemanticGaussian((i, 0, 0), (0, 0, 0), (1, 0, 0, 0), row) for i, row in enumerate(logit_rows)]
-    return GaussianScene.from_gaussians(gs, ("a", "b", "c", "d"))
+    means = [(i, 0, 0) for i in range(5)]
+    return GaussianScene(means, np.zeros((5, 3)), np.tile([1.0, 0, 0, 0], (5, 1)), logit_rows, ("a", "b", "c", "d"))
 
 
 class TestPrune:
@@ -218,7 +222,7 @@ class TestPrune:
     @settings(max_examples=40, deadline=None)
     def test_count_formula_and_idempotence(self, n, fraction):
         rng = np.random.default_rng(n)
-        scene = random_scene(rng, n) if n else GaussianScene.from_gaussians([], ("c0", "c1", "c2"))
+        scene = random_scene(rng, n) if n else GaussianScene([], [], [], [], ("c0", "c1", "c2"))
         pruned, survivors = prune(scene, fraction)
         assert len(pruned) == math.ceil((1 - fraction) * n)
         again, again_idx = prune(pruned, 0.0)
@@ -229,21 +233,30 @@ class TestPrune:
 class TestInvariants:
     def test_scene_confidences_order(self, rng):
         scene = random_scene(rng, 12)
-        assert np.allclose(scene_confidences(scene), [confidence(scene[i]) for i in range(12)])
+        # one softmax per row, by hand
+        e = np.exp(scene.logits)
+        assert np.allclose(scene_confidences(scene), [np.max(row) / np.sum(row) for row in e])
 
     def test_log_scale_clamp(self):
-        g = SemanticGaussian((0, 0, 0), (-100, 0, 100), (1, 0, 0, 0), (0.0,))
-        assert np.all(np.exp(g.log_scale) >= 1e-4)
-        assert np.all(np.exp(g.log_scale) <= 1e3)
+        scene = GaussianScene((0, 0, 0), (-100, 0, 100), (1, 0, 0, 0), (0.0,), ("a",))
+        assert np.all(np.exp(scene.log_scales) >= 1e-4)
+        assert np.all(np.exp(scene.log_scales) <= 1e3)
 
     def test_rotation_normalized(self):
-        g = SemanticGaussian((0, 0, 0), (0, 0, 0), (2, 0, 0, 0), (0.0,))
-        assert np.linalg.norm(g.rotation) == pytest.approx(1.0, abs=1e-9)
+        scene = GaussianScene((0, 0, 0), (0, 0, 0), (2, 0, 0, 0), (0.0,), ("a",))
+        assert np.linalg.norm(scene.rotations[0]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("component", range(4))
+    def test_rotation_must_be_finite(self, bad, component):
+        q = [1.0, 0.0, 0.0, 0.0]
+        q[component] = bad
+        with pytest.raises(ValueError, match="rotations must be finite"):
+            GaussianScene(np.zeros((2, 3)), np.zeros((2, 3)), [(1, 0, 0, 0), q], np.zeros((2, 1)), ("a",))
 
     def test_class_count_mismatch_rejected(self):
-        g = SemanticGaussian((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0))
         with pytest.raises(ValueError):
-            GaussianScene.from_gaussians([g], ("a", "b", "c"))
+            GaussianScene((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0), ("a", "b", "c"))
 
     def test_dynamic_ids_validated(self):
         with pytest.raises(ValueError):

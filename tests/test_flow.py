@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussworld.core import EMPTY, ClassConfig, GaussianScene, SemanticGaussian
+from gaussworld.core import EMPTY, ClassConfig, GaussianScene
 from gaussworld.flow import (
     FlowField,
     Trajectory,
@@ -78,12 +78,9 @@ class TestApplyFlow:
 
     def test_dynamic_mask(self):
         # classes: 0 static, 1 = car (dynamic); only the car gaussian moves
-        gs = [
-            SemanticGaussian((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (2.0, 0.0)),
-            SemanticGaussian((1, 0, 0), (0, 0, 0), (1, 0, 0, 0), (0.0, 2.0)),
-            SemanticGaussian((2, 0, 0), (0, 0, 0), (1, 0, 0, 0), (2.0, 0.0)),
-        ]
-        scene = GaussianScene.from_gaussians(gs, ("ground", "car"))
+        means = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        logits = [(2.0, 0.0), (0.0, 2.0), (2.0, 0.0)]
+        scene = GaussianScene(means, np.zeros((3, 3)), np.tile([1.0, 0, 0, 0], (3, 1)), logits, ("ground", "car"))
         cfg = ClassConfig(2, dynamic_class_ids={1})
         flow = np.tile([0.5, 0.5, 0.0], (3, 1))
         out = apply_flow(scene, flow, cfg)
@@ -205,11 +202,10 @@ class TestCopyPaste:
         w = Waypoint(0.5, -0.25, 0.6)
         out = copy_paste_forecast(grid, w)
         # oracle: per-voxel inverse transform + nearest lookup
-        from gaussworld.grid import voxel_center
-
         c, s = math.cos(w.psi), math.sin(w.psi)
         for v in range(0, spec.num_voxels, 11):
-            ctr = voxel_center(spec, spec.unflatten(v))
+            k, j, i = np.unravel_index(v, spec.dims[::-1])
+            ctr = np.array(spec.origin) + (np.array([i, j, k]) + 0.5) * spec.voxel_size
             src = np.array([c * ctr[0] - s * ctr[1] + w.x, s * ctr[0] + c * ctr[1] + w.y, ctr[2]])
             ijk = np.floor((src - np.array(spec.origin)) / spec.voxel_size).astype(int)
             if np.all(ijk >= 0) and np.all(ijk < spec.dims):

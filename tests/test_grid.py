@@ -4,40 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussworld.core import EMPTY
-from gaussworld.grid import (
-    GridSpec,
-    OccupancyGrid,
-    voxel_center,
-    voxel_centers,
-)
+from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
+
+
+def center_of(spec, ijk):
+    return voxel_centers(spec)[spec.flat_index(*ijk)]
 
 
 class TestVoxelCenter:
     def test_origin_voxel(self):
         spec = GridSpec((0, 0, 0), (4, 4, 4), 0.5)
-        assert np.allclose(voxel_center(spec, (0, 0, 0)), (0.25, 0.25, 0.25))
+        assert np.allclose(center_of(spec, (0, 0, 0)), (0.25, 0.25, 0.25))
 
     def test_next_voxel(self):
         spec = GridSpec((0, 0, 0), (4, 4, 4), 0.5)
-        assert np.allclose(voxel_center(spec, (1, 0, 0)), (0.75, 0.25, 0.25))
+        assert np.allclose(center_of(spec, (1, 0, 0)), (0.75, 0.25, 0.25))
 
     def test_negative_origin(self):
         # hand sum: -3 + (2 + 0.5)·0.4 = -2, etc.
         spec = GridSpec((-3.0, -1.0, -0.4), (8, 8, 2), 0.4)
-        assert np.allclose(voxel_center(spec, (2, 0, 1)), (-2.0, -0.8, 0.2))
-
-    def test_out_of_range(self):
-        spec = GridSpec((0, 0, 0), (4, 4, 4), 0.5)
-        with pytest.raises(IndexError):
-            voxel_center(spec, (4, 0, 0))
+        assert np.allclose(center_of(spec, (2, 0, 1)), (-2.0, -0.8, 0.2))
 
     def test_centers_match_scalar(self):
+        # every centre is origin + (ijk + 0.5)·voxel_size, evaluated per voxel
         spec = GridSpec((-1, 0, 2), (3, 4, 2), 0.7)
         centers = voxel_centers(spec)
         for i in range(3):
             for j in range(4):
                 for k in range(2):
-                    assert np.allclose(centers[spec.flat_index(i, j, k)], voxel_center(spec, (i, j, k)))
+                    want = np.array(spec.origin) + (np.array([i, j, k]) + 0.5) * spec.voxel_size
+                    assert np.array_equal(centers[spec.flat_index(i, j, k)], want)
 
     @pytest.mark.parametrize(
         "origin, dims, size",
@@ -69,7 +65,7 @@ class TestFlatIndexing:
             for j in range(ny):
                 for k in range(nz):
                     idx = spec.flat_index(i, j, k)
-                    assert spec.unflatten(idx) == (i, j, k)
+                    assert np.unravel_index(idx, (nz, ny, nx)) == (k, j, i)
                     seen.add(idx)
         assert seen == set(range(spec.num_voxels))
 
@@ -104,15 +100,19 @@ class TestOccupancyGrid:
         spec = GridSpec((0, 0, 0), (2, 2, 2), 1.0)
         grid = OccupancyGrid.empty(spec)
         assert np.all(grid.labels == EMPTY)
-        assert grid.occupied_fraction() == 0.0
 
-    def test_as_3d_layout(self):
-        spec = GridSpec((0, 0, 0), (2, 3, 2), 1.0)
-        labels = np.arange(12, dtype=np.uint8)
-        grid = OccupancyGrid(spec, labels, num_classes=12)
-        vol = grid.as_3d()
-        for i in range(2):
-            for j in range(3):
-                for k in range(2):
-                    assert vol[i, j, k] == labels[spec.flat_index(i, j, k)]
+    @pytest.mark.parametrize("labels", [np.full(8, 256), np.full(8, -1), np.full(8, 300.0), np.full(8, np.nan)])
+    def test_out_of_range_labels_do_not_wrap(self, labels):
+        with pytest.raises(ValueError, match="0..255"):
+            OccupancyGrid(GridSpec((0, 0, 0), (2, 2, 2), 1.0), labels)
+
+    def test_in_range_labels_of_any_dtype(self):
+        spec = GridSpec((0, 0, 0), (2, 2, 2), 1.0)
+        grid = OccupancyGrid(spec, [0, 1, 2, 3, 254, 255, 255, 0])
+        assert grid.labels.dtype == np.uint8
+        assert grid.labels.tolist() == [0, 1, 2, 3, 254, 255, 255, 0]
+
+    def test_uint8_labels_are_not_copied(self):
+        labels = np.zeros(8, np.uint8)
+        assert np.shares_memory(OccupancyGrid(GridSpec((0, 0, 0), (2, 2, 2), 1.0), labels).labels, labels)
 

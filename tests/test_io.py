@@ -36,7 +36,7 @@ class TestSceneIO:
     def test_empty_scene(self, tmp_path):
         from gaussworld.core import GaussianScene
 
-        scene = GaussianScene.from_gaussians([], ("road", "car"))
+        scene = GaussianScene([], [], [], [], ("road", "car"))
         path = tmp_path / "empty.json"
         save_scene(path, scene)
         back = load_scene(path)
@@ -86,6 +86,9 @@ class TestSceneIO:
             (lambda d: {**d, "gaussians": [d["gaussians"][0], {**d["gaussians"][1], "mu": 5}]}, FormatError, "gaussian 1"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, 0, "a", 0]}]}, FormatError, "gaussian 0"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "logits": [None, 0]}]}, ValueError, "finite"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [float("nan"), 0, 0, 0]}]}, ValueError, "rotations must be finite"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, float("inf"), 0, 0]}]}, ValueError, "rotations must be finite"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, 0, 0, float("-inf")]}]}, ValueError, "rotations must be finite"),
             (lambda d: {**d, "frame_pose": [1.0]}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": 5}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": [0, {}, 0]}, ValueError, "frame_pose"),
@@ -272,7 +275,10 @@ class TestTrajectoryIO:
             load_trajectory(path)
 
     @pytest.mark.parametrize("rows, bad", [("1,abc,0,0\n", "row 1 column 'x' is not a number: 'abc'"),
-                                           ("1,0,0,0\nx1,0,0,0\n", "row 2 column 'step' is not an integer: 'x1'")])
+                                           ("1,0,0,0\nx1,0,0,0\n", "row 2 column 'step' is not an integer: 'x1'"),
+                                           ("1,nan,0,inf\n", "row 1 column 'x' is not finite: 'nan'"),
+                                           ("1,0,0,0\n2,0,-inf,0\n", "row 2 column 'y' is not finite: '-inf'"),
+                                           ("1,0,0,Infinity\n", "row 1 column 'psi' is not finite: 'Infinity'")])
     def test_non_numeric_cell(self, tmp_path, rows, bad):
         path = tmp_path / "t.csv"
         path.write_text("step,x,y,psi\n" + rows)

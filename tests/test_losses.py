@@ -74,7 +74,7 @@ class TestRepresentationDiscrepancy:
 
     def test_empty_side_far_cost(self, rng):
         a = random_scene(rng, 4)
-        empty = GaussianScene.from_gaussians([], ("c0", "c1", "c2"))
+        empty = GaussianScene([], [], [], [], ("c0", "c1", "c2"))
         assert representation_discrepancy(a, empty) == 10.0
         assert representation_discrepancy(empty, empty) == 0.0
 
@@ -228,7 +228,7 @@ class TestPerceptionLoss:
         from gaussworld.core import GaussianScene
 
         spec = GridSpec((0, 0, 0), (4, 4, 2), 0.5)
-        scene = GaussianScene.from_gaussians([], ("a", "b", "c"))
+        scene = GaussianScene([], [], [], [], ("a", "b", "c"))
         gt = SceneDescription(occupancy=OccupancyGrid.empty(spec))
         w = LossWeights(det=0, map=0, motion=0)
         got = perception_loss(SceneDescription(), gt, w, scene=scene, splat_params=SplatParams(ClassConfig(3)))

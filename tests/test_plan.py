@@ -148,7 +148,7 @@ class TestPlan:
         assert np.allclose(best.xy(), unicycle_rollout(1.0, 0.0, 2, 0.5).xy())
 
     def test_tie_prefers_first_candidate(self):
-        scene = GaussianScene.from_gaussians([], ("a", "b"))
+        scene = GaussianScene([], [], [], [], ("a", "b"))
         spec = GridSpec((-4, -4, 0), (16, 16, 2), 0.5)
         cfg = PlannerConfig(
             num_steps=1, speeds=(2.0, 2.0), curvatures=(0.0,), comfort_weight=0.0
@@ -160,7 +160,7 @@ class TestPlan:
 
     def test_reference_changes_choice(self):
         # empty world: with a reference, deviation steers the argmin to it
-        scene = GaussianScene.from_gaussians([], ("a", "b"))
+        scene = GaussianScene([], [], [], [], ("a", "b"))
         spec = GridSpec((-4, -4, 0), (16, 16, 2), 0.5)
         cfg = PlannerConfig(
             num_steps=2, speeds=(2.0,), curvatures=(0.0,), comfort_weight=0.0, reference_weight=1.0

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaussworld.core import EMPTY, ClassConfig, GaussianScene, SemanticGaussian, label_at, quat_to_rot
+from gaussworld.core import EMPTY, ClassConfig, GaussianScene, quat_normalize, quat_to_rot
 from gaussworld.fit import check_gradients
-from gaussworld.grid import GridSpec, OccupancyGrid, voxel_center, voxel_centers
+from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
 from gaussworld.splat import (
     SplatParams,
     _block_chunks,
@@ -16,6 +18,7 @@ from gaussworld.splat import (
     splat,
 )
 from tests.conftest import random_scene
+from tests.oracles import class_field_at, label_at
 
 
 def make_params(num_classes=3, **kw):
@@ -25,28 +28,27 @@ def make_params(num_classes=3, **kw):
 class TestSplat:
     def test_empty_scene_all_empty(self):
         spec = GridSpec((0, 0, 0), (4, 4, 4), 0.5)
-        scene = GaussianScene.from_gaussians([], ("a", "b", "c"))
+        scene = GaussianScene([], [], [], [], ("a", "b", "c"))
         grid, _ = splat(scene, spec, make_params())
         assert np.all(grid.labels == EMPTY)
 
     def test_tight_gaussian_labels_only_its_voxel(self):
         spec = GridSpec((0, 0, 0), (8, 8, 8), 0.5)
-        center = voxel_center(spec, (4, 4, 4))
-        g = SemanticGaussian(center, (math.log(0.1),) * 3, (1, 0, 0, 0), (0.0, 0.0, 5.0))
-        scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+        center = voxel_centers(spec)[spec.flat_index(4, 4, 4)]
+        scene = GaussianScene(center, (math.log(0.1),) * 3, (1, 0, 0, 0), (0.0, 0.0, 5.0), ("a", "b", "c"))
         grid, _ = splat(scene, spec, make_params())
-        assert grid.label(4, 4, 4) == 2
+        assert grid.labels[spec.flat_index(4, 4, 4)] == 2
         for d in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-            assert grid.label(4 + d[0], 4 + d[1], 4 + d[2]) == EMPTY
+            assert grid.labels[spec.flat_index(4 + d[0], 4 + d[1], 4 + d[2])] == EMPTY
 
     def test_matches_pointwise_oracle(self, rng):
         spec = GridSpec((0, 0, 0), (16, 16, 16), 0.25)
         scene = random_scene(rng, 64, lo=0.0, hi=4.0)
         params = make_params()
         grid, _ = splat(scene, spec, params)
+        centers = voxel_centers(spec)
         for v in range(0, spec.num_voxels, 97):
-            ijk = spec.unflatten(v)
-            assert grid.labels[v] == label_at(scene, voxel_center(spec, ijk), params.cfg)
+            assert grid.labels[v] == label_at(scene, centers[v], params.cfg)
 
     def test_sparse_equals_brute_force(self, rng):
         spec = GridSpec((0, 0, 0), (12, 12, 12), 0.4)
@@ -77,7 +79,7 @@ class TestSplat:
 class TestOccupancyLoss:
     def test_empty_scene_vs_empty_target_is_zero(self):
         spec = GridSpec((0, 0, 0), (4, 4, 4), 0.5)
-        scene = GaussianScene.from_gaussians([], ("a", "b", "c"))
+        scene = GaussianScene([], [], [], [], ("a", "b", "c"))
         grads = occupancy_loss_and_grads(scene, OccupancyGrid.empty(spec), make_params())
         assert grads.loss_value == 0.0
 
@@ -85,7 +87,7 @@ class TestOccupancyLoss:
         spec = GridSpec((0, 0, 0), (4, 4, 4), 0.5)
         labels = np.full(spec.num_voxels, EMPTY, np.uint8)
         labels[13] = 1
-        scene = GaussianScene.from_gaussians([], ("a", "b", "c"))
+        scene = GaussianScene([], [], [], [], ("a", "b", "c"))
         grads = occupancy_loss_and_grads(scene, OccupancyGrid(spec, labels), make_params())
         expected = -math.log(1e-12) / spec.num_voxels
         assert grads.loss_value == pytest.approx(expected)
@@ -150,8 +152,7 @@ class TestGradients:
     def test_cutoff_voxels_contribute_zero_gradient(self):
         # one distant labeled voxel beyond κ: gradient identically zero
         spec = GridSpec((0, 0, 0), (8, 1, 1), 0.5)
-        g = SemanticGaussian((0.25, 0.25, 0.25), (math.log(0.1),) * 3, (1, 0, 0, 0), (2.0, 0.0))
-        scene = GaussianScene.from_gaussians([g], ("a", "b"))
+        scene = GaussianScene((0.25, 0.25, 0.25), (math.log(0.1),) * 3, (1, 0, 0, 0), (2.0, 0.0), ("a", "b"))
         labels = np.full(spec.num_voxels, EMPTY, np.uint8)
         labels[7] = 1  # 3.5 m away, far beyond κ·0.1
         grads = occupancy_loss_and_grads(scene, OccupancyGrid(spec, labels), make_params(2))
@@ -278,7 +279,7 @@ def _kappa_on_scale_axis_scene(spec):
     # axis-aligned Gaussians, each with the centre of voxel (5, 4, 3) at exactly κ·s_k from its mean along axis k,
     # and 1.0 on the other axes; for s_k = 0.7 on z, below the voxel, that pair rounds inside κ but outside an
     # unpadded κ·√Σₖₖ box
-    center = voxel_center(spec, (5, 4, 3))
+    center = voxel_centers(spec)[spec.flat_index(5, 4, 3)]
     means, log_scales = [], []
     for scale in (0.15, 0.4, 0.7, 0.9):
         for k in range(3):
@@ -352,9 +353,8 @@ def test_blocks_within_max_scale_box(case):
 def test_block_reaches_voxel_at_kappa_max_scale():
     """A voxel centre at exactly κ·max(scale) from the mean rounds inside the cutoff; the capped block keeps it."""
     spec = GridSpec((0, 0, 0), (10, 9, 7), 0.4)
-    mean = voxel_center(spec, (5, 4, 3)) - np.array([0.0, 0.0, 2.1])  # κ·0.7 below the centre
-    g = SemanticGaussian(mean, np.log([0.1, 0.1, 0.7]), (1, 0, 0, 0), (0.0, 0.0, 0.0))
-    scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+    mean = voxel_centers(spec)[spec.flat_index(5, 4, 3)] - np.array([0.0, 0.0, 2.1])  # κ·0.7 below the centre
+    scene = GaussianScene(mean, np.log([0.1, 0.1, 0.7]), (1, 0, 0, 0), (0.0, 0.0, 0.0), ("a", "b", "c"))
     F_sparse, _ = evidence_field(scene, spec, SplatParams(ClassConfig(3), use_index=True))
     F_full, _ = evidence_field(scene, spec, SplatParams(ClassConfig(3), use_index=False))
     assert F_full[spec.flat_index(5, 4, 3)].min() > 0
@@ -365,9 +365,69 @@ def test_axis_aligned_block_is_exact_per_axis():
     """An axis-aligned Gaussian centred on a voxel gets 2⌊κ·s_k/vs⌋+1 voxels on axis k."""
     spec = GridSpec((0, 0, 0), (32, 12, 12), 0.25)
     scales = np.array([1.0, 0.1, 0.1])
-    g = SemanticGaussian(voxel_center(spec, (15, 6, 6)), np.log(scales), (1, 0, 0, 0), (0.0, 0.0, 0.0))
-    scene = GaussianScene.from_gaussians([g], ("a", "b", "c"))
+    mean = voxel_centers(spec)[spec.flat_index(15, 6, 6)]
+    scene = GaussianScene(mean, np.log(scales), (1, 0, 0, 0), (0.0, 0.0, 0.0), ("a", "b", "c"))
     ((_, flat, _, _),) = _block_chunks(scene, spec, 3.0, True)
-    widths = [np.ptp(a) + 1 for a in spec.unflatten(flat[0])]
+    nx, ny, nz = spec.dims
+    widths = [np.ptp(a) + 1 for a in np.unravel_index(flat[0], (nz, ny, nx))[::-1]]
     assert widths == [2 * math.floor(3.0 * s / spec.voxel_size) + 1 for s in scales] == [25, 3, 3]
     assert flat.size == 25 * 3 * 3
+
+
+DIFF_SPEC = GridSpec((0.0, 0.0, 0.0), (6, 5, 4), 0.5)
+
+
+@st.composite
+def differential_scenes(draw):
+    """Rotated, anisotropic Gaussians on DIFF_SPEC: up to four anywhere in the grid, one whose mean lies near a
+    grid face (inside or out), so its block is clipped there, and one with a voxel centre on its κ surface or a
+    relative 1e-8 inside or outside it."""
+    lo = np.array(DIFF_SPEC.origin)
+    hi = lo + DIFF_SPEC.extent()
+    unit = st.floats(0.0, 1.0)
+    log_scale = st.floats(math.log(0.05), math.log(0.9))
+    quat = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+    logits = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3, unique=True)
+    n = draw(st.integers(0, 4)) + 2
+    means = [lo + np.array(draw(st.tuples(unit, unit, unit))) * (hi - lo) for _ in range(n)]
+    log_scales = [np.array(draw(st.tuples(log_scale, log_scale, log_scale))) for _ in range(n)]
+    rotations = [quat_normalize(draw(quat)) for _ in range(n)]
+    axis = draw(st.integers(0, 2))
+    means[0][axis] = draw(st.sampled_from([lo[axis], hi[axis]])) + draw(st.floats(-0.5, 0.5))
+    # the centre of voxel ijk sits κ·s_k·(1 + t) from the mean along the Gaussian's own axis k
+    ijk = draw(st.tuples(*(st.integers(0, d - 1) for d in DIFF_SPEC.dims)))
+    k, sign = draw(st.integers(0, 2)), draw(st.sampled_from([1.0, -1.0]))
+    reach = 3.0 * np.exp(log_scales[1][k]) * (1.0 + draw(st.sampled_from([0.0, -1e-8, 1e-8])))
+    means[1] = voxel_centers(DIFF_SPEC)[DIFF_SPEC.flat_index(*ijk)] - sign * reach * quat_to_rot(rotations[1])[:, k]
+    rows = [draw(logits) for _ in range(n)]
+    return GaussianScene(means, log_scales, rotations, rows, ("c0", "c1", "c2"))
+
+
+@given(differential_scenes(), st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_splat_matches_pointwise_oracle_on_random_scenes(scene, use_index):
+    """splat's F and labels against class_field_at and label_at at every voxel centre.
+
+    Two kinds of voxel may differ by rounding, and only they get a tolerance:
+    - κ surface: a pair whose q lies within 1e-9 of κ² may fall on either side of the cutoff, so F lies between
+      the oracle with cutoff² κ² - 1e-9 and with κ² + 1e-9, and the label is one of those two oracles' labels;
+    - near tie: where the oracle's top two classes, or its total and ε, lie within 1e-9, the label is not compared.
+    Elsewhere F agrees to 1e-12 (the kernel sums in another order) and the labels are equal.
+    """
+    params = SplatParams(ClassConfig(3), use_index=use_index)
+    narrow = ClassConfig(3, mahalanobis_cutoff=math.sqrt(9.0 - 1e-9))
+    wide = ClassConfig(3, mahalanobis_cutoff=math.sqrt(9.0 + 1e-9))
+    grid, F = splat(scene, DIFF_SPEC, params)
+    centers = voxel_centers(DIFF_SPEC)
+    F_narrow = np.array([class_field_at(scene, x, narrow) for x in centers])
+    F_wide = np.array([class_field_at(scene, x, wide) for x in centers])
+    assert np.all(F >= F_narrow - 1e-12) and np.all(F <= F_wide + 1e-12)
+    eps = params.cfg.empty_evidence
+    for v, x in enumerate(centers):
+        near_tie = any(
+            abs(f.sum() - eps) <= 1e-9 or (f.sum() > eps and np.diff(np.sort(f)[-2:])[0] <= 1e-9)
+            for f in (F_narrow[v], F_wide[v])
+        )
+        if not near_tie:
+            at_kappa = not np.array_equal(F_narrow[v], F_wide[v])
+            assert grid.labels[v] in {label_at(scene, x, narrow), label_at(scene, x, wide if at_kappa else narrow)}

@@ -7,7 +7,7 @@ import pytest
 
 from gaussworld.boxes import Box, points_in_box
 from gaussworld.core import EMPTY, GaussianScene
-from gaussworld.grid import GridSpec, voxel_center, voxel_centers
+from gaussworld.grid import GridSpec, voxel_centers
 from gaussworld.synth import (
     AgentSpec,
     LayoutConfig,
@@ -90,18 +90,18 @@ class TestRasterize:
         big = Box((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), 0.0, 0)
         small = Box((0.5, 0.5, 0.5), (1.0, 1.0, 1.0), 0.0, 1)
         grid = rasterize_boxes([big, small], spec)
-        assert grid.label(0, 0, 0) == 1
-        assert grid.label(1, 1, 1) == 0
+        assert grid.labels[spec.flat_index(0, 0, 0)] == 1
+        assert grid.labels[spec.flat_index(1, 1, 1)] == 0
 
     def test_rotated_box(self):
         # 45°-rotated long box: its tip reaches voxels an axis-aligned one would not
         spec = GridSpec((-2, -2, 0), (8, 8, 1), 0.5)
         box = Box((0.0, 0.0, 0.25), (4.0, 0.6, 0.5), math.pi / 4, 1)
         grid = rasterize_boxes([box], spec)
-        tip = voxel_center(spec, (6, 6, 0))  # ~ (1.25, 1.25): on the diagonal
+        tip = voxel_centers(spec)[spec.flat_index(6, 6, 0)]  # ~ (1.25, 1.25): on the diagonal
         assert points_in_box(tip[None, :], box)[0]
-        assert grid.label(6, 6, 0) == 1
-        assert grid.label(6, 1, 0) == EMPTY  # off-diagonal at the same radius
+        assert grid.labels[spec.flat_index(6, 6, 0)] == 1
+        assert grid.labels[spec.flat_index(6, 1, 0)] == EMPTY  # off-diagonal at the same radius
 
 
 class TestGenerate:
@@ -134,10 +134,10 @@ class TestGenerate:
         g1 = sc_moving.gt_grids[1]
         # compare a probe voxel against the static grid one metre ahead
         ijk = (20, 12, 2)
-        probe = voxel_center(SPEC, ijk)
+        probe = voxel_centers(SPEC)[SPEC.flat_index(*ijk)]
         shifted = probe + np.array([1.0, 0.0, 0.0])
         src = np.floor((shifted - np.array(SPEC.origin)) / SPEC.voxel_size).astype(int)
-        assert g1.label(*ijk) == g0.label(*src)
+        assert g1.labels[SPEC.flat_index(*ijk)] == g0.labels[SPEC.flat_index(*src)]
 
     def test_deterministic(self):
         cfg = corridor_cfg(agents=(AgentSpec(class_id=2, x=6.0, y=1.0, speed=1.0),))
@@ -182,6 +182,14 @@ class TestConfigRoundTrip:
             (lambda d: {**d, "agents": [{**d["agents"][0], "heading": 0.0}]}, "unknown agent keys"),
             (lambda d: {k: v for k, v in d.items() if k != "spec"}, "spec"),
             (lambda d: {**d, "spec": {**d["spec"], "dims": [48, 24.5, 6]}}, "dims"),
+            # class ids become uint8 labels: 255 is EMPTY, and 300 or -1 do not fit
+            (lambda d: {**d, "agents": [{**d["agents"][0], "class_id": 255}]}, r"agents\[0\]\.class_id"),
+            (lambda d: {**d, "agents": [{**d["agents"][0], "class_id": 300}]}, r"agents\[0\]\.class_id"),
+            (lambda d: {**d, "agents": [{**d["agents"][0], "class_id": -1}]}, r"agents\[0\]\.class_id"),
+            (lambda d: {**d, "layout": {**d["layout"], "drivable_class_id": 255}}, "layout.drivable_class_id"),
+            (lambda d: {**d, "layout": {**d["layout"], "wall_class_id": -1}}, "layout.wall_class_id"),
+            (lambda d: {**d, "num_classes": 256}, "num_classes"),
+            (lambda d: {**d, "num_classes": -1}, "num_classes"),
         ],
     )
     def test_malformed_configs_raise_value_error(self, edit, match):
@@ -278,5 +286,5 @@ class TestGtFlows:
 
     def test_empty_scene(self):
         sc = generate(corridor_cfg())
-        scene = GaussianScene.from_gaussians([], ("a", "b", "c"))
+        scene = GaussianScene([], [], [], [], ("a", "b", "c"))
         assert gt_flows(sc, scene).steps.shape == (3, 0, 3)
