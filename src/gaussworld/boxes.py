@@ -51,7 +51,8 @@ def points_in_box(points, box: Box, margin=0.0):
     return inside & (np.abs(p[:, 2] - box.center[2]) <= hz)
 
 
-def _rect_corners(cx, cy, yaw, length, width):
+def rect_corners(cx, cy, yaw, length, width):
+    """Corner x and y arrays of the oriented rectangle centred at (cx, cy)."""
     hx, hy = length / 2.0, width / 2.0
     x, y = rotate2d(np.array([hx, hx, -hx, -hx]), np.array([hy, -hy, -hy, hy]), yaw)
     return x + cx, y + cy
@@ -59,8 +60,8 @@ def _rect_corners(cx, cy, yaw, length, width):
 
 def rects_overlap(a, b):
     """Separating-axis test for two oriented 2D rectangles (cx, cy, yaw, length, width)."""
-    ca = _rect_corners(*a)
-    cb = _rect_corners(*b)
+    ca = rect_corners(*a)
+    cb = rect_corners(*b)
     for yaw in (a[2], b[2]):
         # each rectangle's corners in this yaw's frame: rows are projections onto its two edge axes
         pa, pb = np.array(rotate2d(*ca, -yaw)), np.array(rotate2d(*cb, -yaw))

@@ -20,18 +20,6 @@ LOG_SCALE_MIN = math.log(1e-4)
 LOG_SCALE_MAX = math.log(1e3)
 
 
-def _as_float_array(x, n, name):
-    try:
-        a = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{name} must be numeric: {e}") from e
-    if a.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a
-
-
 def quat_normalize(q):
     """Normalize a quaternion (w,x,y,z) to unit length.
 
@@ -105,11 +93,7 @@ class GaussianScene:
 
     def __post_init__(self):
         m = np.asarray(self.means, dtype=np.float64).reshape(-1, 3)
-        ls = np.clip(
-            np.asarray(self.log_scales, dtype=np.float64).reshape(-1, 3),
-            LOG_SCALE_MIN,
-            LOG_SCALE_MAX,
-        )
+        ls = np.asarray(self.log_scales, dtype=np.float64).reshape(-1, 3)
         q = np.asarray(self.rotations, dtype=np.float64).reshape(-1, 4)
         lg = np.asarray(self.logits, dtype=np.float64)
         lg = lg.reshape(m.shape[0], -1) if lg.size else lg.reshape(0, len(self.class_names))
@@ -124,6 +108,7 @@ class GaussianScene:
         for name, a in (("means", m), ("log_scales", ls), ("rotations", q), ("logits", lg)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"scene {name} must be finite")
+        ls = np.clip(ls, LOG_SCALE_MIN, LOG_SCALE_MAX)  # after the check: an infinite log-scale is an error, not the clamp
         q = quat_normalize(q) if q.shape[0] else q
         for a in (m, ls, q, lg):
             a.setflags(write=False)
@@ -132,7 +117,14 @@ class GaussianScene:
         object.__setattr__(self, "rotations", q)
         object.__setattr__(self, "logits", lg)
         object.__setattr__(self, "class_names", tuple(self.class_names))
-        pose = _as_float_array(self.frame_pose, 3, "frame_pose")
+        try:
+            pose = np.asarray(self.frame_pose, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"frame_pose must be numeric: {e}") from e
+        if pose.shape != (3,):
+            raise ValueError(f"frame_pose must have shape (3,), got {pose.shape}")
+        if not np.all(np.isfinite(pose)):
+            raise ValueError("frame_pose must be finite")
         object.__setattr__(self, "frame_pose", tuple(float(v) for v in pose))
 
     def __len__(self):

@@ -6,6 +6,7 @@ one byte per voxel, with EMPTY marking unoccupied space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,44 @@ class GridSpec:
         return tuple(n * self.voxel_size for n in self.dims)
 
 
-def voxel_centers(spec: GridSpec):
-    """All voxel centers, shape (num_voxels, 3), x-fastest flat order."""
-    nx, ny, nz = spec.dims
-    k, j, i = np.indices((nz, ny, nx)).reshape(3, -1)
-    return np.array(spec.origin) + (np.stack([i, j, k], axis=1) + 0.5) * spec.voxel_size
+def box_indices(lo, hi):
+    """Index rows (K, 3) of the voxel box lo..hi (inclusive per axis), x-fastest, so their flat indices ascend.
+
+    K is 0 when hi < lo on some axis.
+    """
+    (i0, j0, k0), (i1, j1, k1) = lo, hi
+    out = np.empty((max(k1 - k0 + 1, 0), max(j1 - j0 + 1, 0), max(i1 - i0 + 1, 0), 3), dtype=int)
+    out[..., 0] = np.arange(i0, i1 + 1)
+    out[..., 1] = np.arange(j0, j1 + 1)[:, None]
+    out[..., 2] = np.arange(k0, k1 + 1)[:, None, None]
+    return out.reshape(-1, 3)
+
+
+def index_box(spec: GridSpec, lo, hi):
+    """Inclusive voxel index bounds (lo, hi) of the world-space box [lo, hi], padded by one voxel, clipped to the grid.
+
+    Every voxel whose centre lies in the box is inside the bounds; the padding
+    absorbs rounding in the caller's box. hi < lo on an axis where the box misses
+    the grid.
+    """
+    o, vs, dims = spec.origin, spec.voxel_size, spec.dims
+    # clipped before flooring, so that a far-away box stays a small integer
+    cell = lambda v, a: math.floor(min(max((v - o[a]) / vs, -2.0), dims[a] + 1.0))
+    return (
+        tuple(max(cell(lo[a], a) - 1, 0) for a in range(3)),
+        tuple(min(cell(hi[a], a) + 1, dims[a] - 1) for a in range(3)),
+    )
+
+
+def voxel_centers(spec: GridSpec, ijk=None):
+    """Centres origin + (ijk + 0.5)·voxel_size of the integer index rows ijk (K, 3).
+
+    ijk None means every voxel, shape (num_voxels, 3), in x-fastest flat order.
+    A centre has the same bits whichever rows it is built with.
+    """
+    if ijk is None:
+        ijk = box_indices((0, 0, 0), tuple(n - 1 for n in spec.dims))
+    return np.array(spec.origin) + (ijk + 0.5) * spec.voxel_size
 
 
 @dataclass(frozen=True)
@@ -77,8 +111,11 @@ class OccupancyGrid:
 
     def __post_init__(self):
         lab = np.asarray(self.labels)
-        if lab.dtype != np.uint8 and not np.all((lab >= 0) & (lab <= EMPTY)):  # NaN fails too
-            raise ValueError(f"labels must lie in 0..{EMPTY}")
+        if lab.dtype != np.uint8:
+            if not np.all((lab >= 0) & (lab <= EMPTY)):  # NaN fails too
+                raise ValueError(f"labels must lie in 0..{EMPTY}")
+            if lab.dtype.kind == "f" and not np.all(lab == np.floor(lab)):
+                raise ValueError("labels must be whole numbers")
         lab = lab.astype(np.uint8, copy=False).reshape(self.spec.num_voxels)
         lab.setflags(write=False)
         object.__setattr__(self, "labels", lab)

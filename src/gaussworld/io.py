@@ -109,15 +109,12 @@ def load_scene(path):
         raise FormatError(f"field 'timestamp_index' must be finite, not {timestamp_index!r}") from e
     if whole != timestamp_index:
         raise FormatError(f"field 'timestamp_index' must be a whole number, not {timestamp_index!r}")
-    return GaussianScene(
-        means,
-        log_scales,
-        rotations,
-        logits,
-        class_names,
-        doc.get("frame_pose", (0.0, 0.0, 0.0)),
-        whole,
-    )
+    try:
+        return GaussianScene(
+            means, log_scales, rotations, logits, class_names, doc.get("frame_pose", (0.0, 0.0, 0.0)), whole
+        )
+    except ValueError as e:
+        raise FormatError(f"invalid scene: {e}") from e
 
 
 def save_grid(path, grid: OccupancyGrid):

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import points_in_rect, rects_overlap
+from .boxes import points_in_rect, rect_corners, rects_overlap
 from .core import EMPTY
 from .flow import Trajectory, Waypoint, compose
-from .grid import OccupancyGrid, voxel_centers
+from .grid import GridSpec, OccupancyGrid, box_indices, index_box, voxel_centers
 
 
 def miou_iou(pred: OccupancyGrid, gt: OccupancyGrid):
@@ -75,12 +75,24 @@ class CollisionScenario:
     z_slab: tuple = (0.2, 2.0)
 
 
+def footprint_voxels(spec: GridSpec, pose: Waypoint, footprint, z_slab):
+    """Ascending flat indices of the voxels centred in the z slab and under the (length, width) footprint at pose.
+
+    Centres are built only for the index box of the footprint's bounding box.
+    """
+    xs, ys = rect_corners(pose.x, pose.y, pose.psi, footprint[0], footprint[1])
+    ijk = box_indices(*index_box(spec, (xs.min(), ys.min(), z_slab[0]), (xs.max(), ys.max(), z_slab[1])))
+    centers = voxel_centers(spec, ijk)
+    inside = (centers[:, 2] >= z_slab[0]) & (centers[:, 2] <= z_slab[1])
+    inside &= points_in_rect(centers, pose.x, pose.y, pose.psi, footprint[0] / 2.0, footprint[1] / 2.0)
+    return spec.flat_index(*ijk.T)[inside]
+
+
 def footprint_mask(grid: OccupancyGrid, occupied, pose: Waypoint, footprint, z_slab):
     """Mask of `occupied` voxels centered in the z slab and under the (length, width) footprint at pose."""
-    centers = voxel_centers(grid.spec)
-    mask = occupied & (centers[:, 2] >= z_slab[0]) & (centers[:, 2] <= z_slab[1])
-    idx = np.flatnonzero(mask)
-    mask[idx] = points_in_rect(centers[idx], pose.x, pose.y, pose.psi, footprint[0] / 2.0, footprint[1] / 2.0)
+    mask = np.zeros(grid.spec.num_voxels, dtype=bool)
+    idx = footprint_voxels(grid.spec, pose, footprint, z_slab)
+    mask[idx] = occupied[idx]
     return mask
 
 

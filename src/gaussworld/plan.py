@@ -16,7 +16,7 @@ import numpy as np
 from .core import EMPTY, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint, forecast
 from .grid import GridSpec, OccupancyGrid
-from .metrics import footprint_mask
+from .metrics import footprint_mask, footprint_voxels
 from .splat import SplatParams, splat
 
 
@@ -127,10 +127,12 @@ def plan(
     candidate in sampling order.
     """
     cands = sample_candidates(cfg, reference)
+    # score reads labels only under the footprint at each ego frame's origin, so only those voxels are splatted
+    voxels = footprint_voxels(spec, Waypoint.identity(), (cfg.footprint_length, cfg.footprint_width), cfg.z_slab)
     table = []
     for cand in cands:
         scenes = forecast(scene, flows, cand, splat_params.cfg)
-        grids = [splat(s, spec, splat_params)[0] for s in scenes]
+        grids = [splat(s, spec, splat_params, voxels)[0] for s in scenes]
         table.append(score(cand, grids, cfg, reference))
     best = min(range(len(cands)), key=lambda i: (table[i]["total"], i))
     return cands[best], table

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EMPTY, ClassConfig, GaussianScene, quat_to_rot
-from .grid import GridSpec, OccupancyGrid, voxel_centers
+from .grid import GridSpec, OccupancyGrid, box_indices, voxel_centers
 
 PROB_FLOOR = 1e-12
 
@@ -44,19 +44,27 @@ class GaussianGrads:
 _CHUNK_PAIRS = 1 << 14  # Gaussian-voxel pairs per kernel chunk; bounds the transient arrays
 
 
-def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
+def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index, voxels=None):
     """Yield (g, flat, u, q) for chunks of Gaussians that share one block shape.
 
     Each Gaussian's block is the voxel box of its κ ellipsoid: half-width
     κ·√Σₖₖ = κ·√(Σⱼ Rₖⱼ² sⱼ²) on axis k, capped at the κ·max(scale) box, padded
     by a relative 1e-9 so that q's rounding cannot leave an inside pair out, and
-    clipped to the grid (the whole grid when use_index is off). g (B,) holds
-    ascending Gaussian indices, flat (B, n) their block voxels in i-slowest
-    order, u = Rᵀ(center − mean) (B, n, 3), and q (B, n) the squared
-    Mahalanobis distances. Batched matmul runs the same BLAS call per Gaussian
-    as a per-Gaussian loop would, so every value is bit-identical to one.
+    clipped to the grid (the whole grid when use_index is off). voxels, when
+    given, is a non-empty array of flat voxel indices: every block is then also
+    clipped to their index bounding box, and centres are built for that box
+    only. g (B,) holds ascending Gaussian indices, flat (B, n) their block voxels
+    in i-slowest order, u = Rᵀ(center − mean) (B, n, 3), and q (B, n) the
+    squared Mahalanobis distances. Batched matmul runs the same BLAS call per
+    Gaussian as a per-Gaussian loop would, so every value is bit-identical to one.
     """
     dims = np.array(spec.dims)
+    nx, ny, _ = spec.dims
+    if voxels is None:
+        box_lo, box_hi = np.zeros(3, int), dims - 1
+    else:
+        ijk = np.stack([voxels % nx, voxels // nx % ny, voxels // (nx * ny)], axis=1)
+        box_lo, box_hi = ijk.min(axis=0), ijk.max(axis=0)
     rots = quat_to_rot(scene.rotations)
     if use_index:
         ls = scene.log_scales
@@ -65,37 +73,41 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index):
         cap = kappa * np.exp(np.maximum(np.maximum(ls[:, 0], ls[:, 1]), ls[:, 2]))
         r = np.minimum(r, cap[:, None]) * (1 + 1e-9)
         o, vs = np.array(spec.origin), spec.voxel_size
-        lo = np.maximum(np.ceil((scene.means - r - o) / vs - 0.5).astype(int), 0)
-        hi = np.minimum(np.floor((scene.means + r - o) / vs - 0.5).astype(int), dims - 1)
+        lo = np.maximum(np.ceil((scene.means - r - o) / vs - 0.5).astype(int), box_lo)
+        hi = np.minimum(np.floor((scene.means + r - o) / vs - 0.5).astype(int), box_hi)
     else:
-        lo = np.zeros(scene.means.shape, int)
-        hi = lo + dims - 1
+        lo, hi = np.broadcast_to(box_lo, scene.means.shape), np.broadcast_to(box_hi, scene.means.shape)
     shape = hi - lo + 1
     live = np.flatnonzero(np.all(shape > 0, axis=1))
     if live.size == 0:
         return
-    nx, ny, _ = spec.dims
     key = shape[live] @ np.array([1, nx + 1, (nx + 1) * (ny + 1)])
     order = np.argsort(key, kind="stable")  # keeps each group's Gaussians ascending
     groups = np.split(live[order], np.flatnonzero(np.diff(key[order])) + 1)
-    base = lo @ np.array([1, nx, nx * ny])
-    centers = voxel_centers(spec)
+    # the centre table covers the box x-fastest; a block voxel's row in it is its cell
+    if voxels is None:
+        centers, to_flat = voxel_centers(spec), None
+    else:
+        box = box_indices(box_lo, box_hi)
+        centers, to_flat = voxel_centers(spec, box), spec.flat_index(*box.T)
+    tx, ty, _ = box_hi - box_lo + 1
+    base = (lo - box_lo) @ np.array([1, tx, tx * ty])
     s2inv = np.exp(-2.0 * scene.log_scales)
     for members in groups:
         bx, by, bz = shape[members[0]]
-        offs = (np.arange(bx)[:, None, None] + nx * (np.arange(by)[:, None] + ny * np.arange(bz))).ravel()
+        offs = (np.arange(bx)[:, None, None] + tx * (np.arange(by)[:, None] + ty * np.arange(bz))).ravel()
         step = max(1, _CHUNK_PAIRS // offs.size)
         for c0 in range(0, members.size, step):
             g = members[c0 : c0 + step]
-            flat = base[g][:, None] + offs
-            d = np.take(centers, flat, axis=0)
+            cell = base[g][:, None] + offs
+            d = np.take(centers, cell, axis=0)
             d -= scene.means[g][:, None, :]
             u = d @ rots[g]
             q = ((u * u) @ s2inv[g][:, :, None])[..., 0]
-            yield g, flat, u, q
+            yield g, cell if to_flat is None else to_flat[cell], u, q
 
 
-def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams, base=None):
+def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams, base=None, voxels=None):
     """Dense per-class evidence F (num_voxels, C) and the pairs inside the κ cutoff.
 
     pairs holds one (g, gi, flat, u, q) per kernel chunk: its ascending Gaussians g
@@ -103,13 +115,18 @@ def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams, ba
     in ascending Gaussian order, exactly as a per-Gaussian scatter-add would. base,
     when given, is the (num_voxels, C) evidence of Gaussians held fixed: F starts
     from a copy of it instead of zeros, and the scene's sums are added to it.
+    voxels, when given, is an array of flat voxel indices: only pairs in their
+    index bounding box are walked, so F is exact in that box and 0 (or base)
+    outside it.
     """
     cfg = params.cfg
     M = spec.num_voxels
     F = np.zeros((M, cfg.num_classes)) if base is None else base.copy()
     k2 = cfg.mahalanobis_cutoff**2
     pairs = []
-    for g, flat, u, q in _block_chunks(scene, spec, cfg.mahalanobis_cutoff, params.use_index):
+    if voxels is not None and voxels.size == 0:
+        return F, pairs
+    for g, flat, u, q in _block_chunks(scene, spec, cfg.mahalanobis_cutoff, params.use_index, voxels):
         i = np.flatnonzero(q <= k2)  # 1-D takes: cheaper than gathering with a 2-D mask
         pairs.append((g, g[i // q.shape[1]], flat.take(i), u.reshape(-1, 3).take(i, axis=0), q.take(i)))
     if not pairs:
@@ -132,16 +149,31 @@ def labels_from_field(F, empty_evidence):
     return lab
 
 
-def splat(scene: GaussianScene, spec: GridSpec, params: SplatParams):
+def splat(scene: GaussianScene, spec: GridSpec, params: SplatParams, voxels=None):
     """Rasterize the scene to an occupancy label grid.
 
-    Returns (OccupancyGrid, F) where F is the dense per-class evidence.
+    Returns (OccupancyGrid, F) where F is the dense per-class evidence. voxels,
+    when given, is an integer array of flat voxel indices: labels are computed
+    there only and every other voxel is EMPTY. The labels and F rows at voxels
+    are bit-identical to the full-grid splat's.
     """
     if len(scene) and scene.num_classes != params.cfg.num_classes:
         raise ValueError("scene class count does not match splat config")
-    F = evidence_field(scene, spec, params)[0]
-    grid = OccupancyGrid(spec, labels_from_field(F, params.cfg.empty_evidence))
-    return grid, F
+    M, eps = spec.num_voxels, params.cfg.empty_evidence
+    if voxels is not None:
+        voxels = np.asarray(voxels)
+        if voxels.ndim != 1 or voxels.dtype.kind not in "iu":
+            raise ValueError("voxels must be a 1-D array of integer flat indices")
+        if voxels.size and not (0 <= voxels.min() and voxels.max() < M):
+            raise ValueError(f"voxels must lie in 0..{M - 1}")
+        voxels = voxels.astype(np.int64, copy=False)  # box strides must not wrap in a narrow dtype
+    F = evidence_field(scene, spec, params, voxels=voxels)[0]
+    if voxels is None:
+        labels = labels_from_field(F, eps)
+    else:
+        labels = np.full(M, EMPTY, dtype=np.uint8)
+        labels[voxels] = labels_from_field(F[voxels], eps)
+    return OccupancyGrid(spec, labels), F
 
 
 def _voxel_terms(F, t, cfg: ClassConfig):

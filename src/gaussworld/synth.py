@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import io as gio
-from .boxes import Box, points_in_box
+from .boxes import Box, points_in_box, rect_corners
 from .core import EMPTY, MAX_CLASSES, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint, compose
-from .grid import GridSpec, OccupancyGrid, voxel_centers
+from .grid import GridSpec, OccupancyGrid, box_indices, index_box, voxel_centers
 from .plan import unicycle_rollout
 
 
@@ -115,12 +115,17 @@ def layout_boxes(layout: LayoutConfig):
 
 
 def rasterize_boxes(boxes, spec: GridSpec):
-    """Label voxels whose centers fall inside each oriented box; later boxes win."""
+    """Label voxels whose centers fall inside each oriented box; later boxes win.
+
+    Each box is tested only against the voxels in the padded index box of its bounding box.
+    """
     labels = np.full(spec.num_voxels, EMPTY, dtype=np.uint8)
-    centers = voxel_centers(spec)
     for box in boxes:
-        inside = points_in_box(centers, box)
-        labels[inside] = box.class_id
+        (cx, cy, cz), hz = box.center, box.size[2] / 2.0
+        xs, ys = rect_corners(cx, cy, box.yaw, box.size[0], box.size[1])
+        ijk = box_indices(*index_box(spec, (xs.min(), ys.min(), cz - hz), (xs.max(), ys.max(), cz + hz)))
+        inside = points_in_box(voxel_centers(spec, ijk), box)
+        labels[spec.flat_index(*ijk.T)[inside]] = box.class_id
     return OccupancyGrid(spec, labels)
 
 

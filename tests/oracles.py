@@ -1,12 +1,16 @@
-"""Pointwise reference evaluators that the splat kernel is tested against.
+"""Reference evaluators that the program is tested against.
 
-They evaluate one query point at a time over every Gaussian, with no voxel
-blocks, so they share no code path with `gaussworld.splat`.
+The pointwise evaluators take one query point at a time over every Gaussian,
+with no voxel blocks, so they share no code path with `gaussworld.splat`. The
+whole-grid footprint and box tests are frozen copies of the versions that
+built every voxel centre; the index-box versions must match them bit for bit.
 """
 
 import numpy as np
 
+from gaussworld.boxes import points_in_box, points_in_rect
 from gaussworld.core import EMPTY, ClassConfig, GaussianScene, quat_normalize, quat_to_rot
+from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
 
 
 def covariance(log_scale, rotation):
@@ -41,3 +45,21 @@ def label_at(scene: GaussianScene, x, cfg: ClassConfig):
     if float(np.sum(F)) < cfg.empty_evidence:
         return EMPTY
     return int(np.argmax(F))
+
+
+def footprint_mask_full_grid(grid: OccupancyGrid, occupied, pose, footprint, z_slab):
+    """`metrics.footprint_mask` as it was: tests every voxel centre of the grid."""
+    centers = voxel_centers(grid.spec)
+    mask = occupied & (centers[:, 2] >= z_slab[0]) & (centers[:, 2] <= z_slab[1])
+    idx = np.flatnonzero(mask)
+    mask[idx] = points_in_rect(centers[idx], pose.x, pose.y, pose.psi, footprint[0] / 2.0, footprint[1] / 2.0)
+    return mask
+
+
+def rasterize_boxes_full_grid(boxes, spec: GridSpec):
+    """`synth.rasterize_boxes` as it was: tests every voxel centre against every box; later boxes win."""
+    labels = np.full(spec.num_voxels, EMPTY, dtype=np.uint8)
+    centers = voxel_centers(spec)
+    for box in boxes:
+        labels[points_in_box(centers, box)] = box.class_id
+    return OccupancyGrid(spec, labels)

@@ -242,6 +242,14 @@ class TestInvariants:
         assert np.all(np.exp(scene.log_scales) >= 1e-4)
         assert np.all(np.exp(scene.log_scales) <= 1e3)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("component", range(3))
+    def test_log_scales_must_be_finite_before_the_clamp(self, bad, component):
+        ls = [0.0, 0.0, 0.0]
+        ls[component] = bad
+        with pytest.raises(ValueError, match="log_scales must be finite"):
+            GaussianScene((0, 0, 0), ls, (1, 0, 0, 0), (0.0,), ("a",))
+
     def test_rotation_normalized(self):
         scene = GaussianScene((0, 0, 0), (0, 0, 0), (2, 0, 0, 0), (0.0,), ("a",))
         assert np.linalg.norm(scene.rotations[0]) == pytest.approx(1.0, abs=1e-9)

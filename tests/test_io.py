@@ -89,6 +89,8 @@ class TestSceneIO:
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [float("nan"), 0, 0, 0]}]}, ValueError, "rotations must be finite"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, float("inf"), 0, 0]}]}, ValueError, "rotations must be finite"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, 0, 0, float("-inf")]}]}, ValueError, "rotations must be finite"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "log_scale": [float("inf"), 0, 0]}]}, FormatError, "log_scales must be finite"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "log_scale": [0, 0, float("-inf")]}]}, FormatError, "log_scales must be finite"),
             (lambda d: {**d, "frame_pose": [1.0]}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": 5}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": [0, {}, 0]}, ValueError, "frame_pose"),

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussworld.boxes import Box
 from gaussworld.core import EMPTY
@@ -8,10 +12,13 @@ from gaussworld.grid import GridSpec, OccupancyGrid
 from gaussworld.metrics import (
     CollisionScenario,
     collision_rate,
+    footprint_mask,
+    footprint_voxels,
     forecast_eval,
     l2_errors,
     miou_iou,
 )
+from tests.oracles import footprint_mask_full_grid
 
 
 def grid(spec, labels):
@@ -166,3 +173,36 @@ class TestForecastEval:
         g = OccupancyGrid.empty(SPEC12)
         with pytest.raises(ValueError):
             forecast_eval([g], [g], horizons=(1,))
+
+
+FOOTPRINT_SPEC = GridSpec((-6.0, -4.0, -0.5), (24, 16, 6), 0.5)
+
+
+@given(
+    st.floats(-12.0, 12.0),
+    st.floats(-9.0, 9.0),
+    st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+    st.tuples(st.floats(0.1, 9.0), st.floats(0.1, 5.0)),
+    st.tuples(st.floats(-2.0, 3.5), st.floats(-2.0, 3.5)),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_footprint_mask_matches_full_grid_oracle(x, y, psi, footprint, z_slab, density, seed):
+    """Poses on and off the grid, any heading, and z slabs that are inverted or miss the grid."""
+    occupied = np.random.default_rng(seed).uniform(size=FOOTPRINT_SPEC.num_voxels) < density
+    g = OccupancyGrid.empty(FOOTPRINT_SPEC)
+    pose = Waypoint(x, y, psi)
+    want = footprint_mask_full_grid(g, occupied.copy(), pose, footprint, z_slab)
+    got = footprint_mask(g, occupied, pose, footprint, z_slab)
+    assert np.array_equal(got, want)
+    everything = footprint_mask_full_grid(g, np.ones(FOOTPRINT_SPEC.num_voxels, bool), pose, footprint, z_slab)
+    assert np.array_equal(footprint_voxels(FOOTPRINT_SPEC, pose, footprint, z_slab), np.flatnonzero(everything))
+
+
+def test_footprint_voxels_of_empty_slabs_and_far_poses():
+    fp = (4.6, 1.9)
+    assert footprint_voxels(FOOTPRINT_SPEC, Waypoint(0.0, 0.0, 0.3), fp, (2.0, 0.2)).size == 0
+    assert footprint_voxels(FOOTPRINT_SPEC, Waypoint(0.0, 0.0, 0.0), fp, (5.0, 9.0)).size == 0
+    assert footprint_voxels(FOOTPRINT_SPEC, Waypoint(40.0, -30.0, 1.0), fp, (0.2, 2.0)).size == 0
+    assert footprint_voxels(FOOTPRINT_SPEC, Waypoint(0.0, 0.0, 0.0), fp, (0.2, 2.0)).size == 10 * 4 * 4

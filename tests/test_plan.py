@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaussworld.core import ClassConfig, EMPTY, GaussianScene
-from gaussworld.flow import FlowField, Trajectory, Waypoint
+from gaussworld.flow import FlowField, Trajectory, Waypoint, forecast
 from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
 from gaussworld.io import from_dict
 from gaussworld.metrics import CollisionScenario, collision_rate
@@ -15,7 +15,9 @@ from gaussworld.plan import (
     score,
     unicycle_rollout,
 )
-from gaussworld.splat import SplatParams
+from gaussworld.splat import SplatParams, splat
+from gaussworld.synth import gt_flows
+from tests.test_acceptance import corridor_with_oncoming_agent, voxel_perfect_scene
 
 
 class TestUnicycleRollout:
@@ -215,3 +217,54 @@ def test_planner_and_metric_agree_at_identity_pose(seed, density):
     )
     assert count == expected
     assert rate == [100.0 if expected else 0.0]
+
+
+def frozen_plan_table(scene, flows, spec, cfg, params, reference=None):
+    """plan()'s cost table as the full-grid loop computed it: forecast, full splat, score."""
+    table = []
+    for cand in sample_candidates(cfg, reference):
+        grids = [splat(s, spec, params)[0] for s in forecast(scene, flows, cand, params.cfg)]
+        table.append(score(cand, grids, cfg, reference))
+    return table
+
+
+def _random_planning_problem(seed):
+    rng = np.random.default_rng(seed)
+    n = 80
+    means = np.column_stack([rng.uniform(-2.0, 9.0, n), rng.uniform(-2.5, 2.5, n), rng.uniform(-0.3, 2.3, n)])
+    scene = GaussianScene(
+        means,
+        rng.uniform(np.log(0.1), np.log(0.9), (n, 3)),
+        rng.normal(size=(n, 4)),
+        rng.normal(size=(n, 3)) * 2.0,
+        ("c0", "c1", "c2"),
+    )
+    steps = np.cumsum(rng.normal(scale=0.4, size=(4, n, 3)) * [1.0, 1.0, 0.1], axis=0)
+    spec = GridSpec((-4.0, -3.0, -0.5), (28, 12, 6), 0.5)
+    cfg = PlannerConfig(num_steps=4, speeds=(1.0, 3.0), curvatures=(-0.3, 0.0, 0.2), drivable_class_ids=frozenset({0}))
+    params = SplatParams(ClassConfig(3, dynamic_class_ids=frozenset({2})))
+    return scene, FlowField(steps), spec, cfg, params, unicycle_rollout(2.0, 0.1, 4, 0.5)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_cost_table_equals_full_grid_loop_on_random_scenes(seed):
+    args = _random_planning_problem(seed)
+    best, table = plan(*args)
+    want = frozen_plan_table(*args)
+    assert table == want
+    assert any(row["collision"] > 0 for row in want)
+    assert best == sample_candidates(args[3], args[5])[min(range(len(want)), key=lambda i: (want[i]["total"], i))]
+
+
+def test_cost_table_equals_full_grid_loop_on_criterion_7():
+    sc = corridor_with_oncoming_agent()
+    scene = voxel_perfect_scene(sc.gt_grids[0], sc.num_classes)
+    params = SplatParams(ClassConfig(sc.num_classes, dynamic_class_ids=frozenset({2})))
+    cfg = PlannerConfig(
+        num_steps=6, dt=0.5, speeds=(1.0, 2.0, 4.0), curvatures=(-0.15, 0.0, 0.15), drivable_class_ids=frozenset({0})
+    )
+    args = (scene, gt_flows(sc, scene), sc.cfg.spec, cfg, params, unicycle_rollout(4.0, 0.0, 6, 0.5))
+    _, table = plan(*args)
+    want = frozen_plan_table(*args)
+    assert table == want
+    assert want[0]["collision"] > 0  # the straight reference drives into the oncoming agent

@@ -431,3 +431,44 @@ def test_splat_matches_pointwise_oracle_on_random_scenes(scene, use_index):
         if not near_tie:
             at_kappa = not np.array_equal(F_narrow[v], F_wide[v])
             assert grid.labels[v] in {label_at(scene, x, narrow), label_at(scene, x, wide if at_kappa else narrow)}
+
+
+SUBSET_SPEC = GridSpec((-0.3, 0.2, -0.1), (9, 7, 5), 0.4)
+
+
+@st.composite
+def voxel_subsets(draw):
+    """Flat indices of SUBSET_SPEC: a random sample plus some of the grid's corners and face voxels."""
+    nx, ny, nz = SUBSET_SPEC.dims
+    corners = [SUBSET_SPEC.flat_index(i, j, k) for i in (0, nx - 1) for j in (0, ny - 1) for k in (0, nz - 1)]
+    edges = st.tuples(st.sampled_from([0, nx - 1]), st.integers(0, ny - 1), st.integers(0, nz - 1))
+    picked = draw(st.lists(st.sampled_from(corners), max_size=4))
+    picked += [SUBSET_SPEC.flat_index(*ijk) for ijk in draw(st.lists(edges, max_size=3))]
+    picked += draw(st.lists(st.integers(0, SUBSET_SPEC.num_voxels - 1), max_size=40))
+    return np.array(picked, dtype=draw(st.sampled_from([np.int64, np.int32, np.uint16])))
+
+
+@given(st.integers(0, 14), st.integers(0, 2**32 - 1), voxel_subsets(), st.booleans())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_splat_at_voxels_equals_full_splat_there(n, seed, voxels, use_index):
+    """Labels and F rows at the given voxels are bit-identical to the full splat's; every other label is EMPTY."""
+    rng = np.random.default_rng(seed)
+    scene = random_scene(rng, n, lo=-1.0, hi=4.5, scale_range=(0.05, 1.2))
+    params = SplatParams(ClassConfig(3), use_index=use_index)
+    full, F = splat(scene, SUBSET_SPEC, params)
+    grid, F_sub = splat(scene, SUBSET_SPEC, params, voxels)
+    assert np.array_equal(grid.labels[voxels], full.labels[voxels])
+    assert np.array_equal(F_sub[voxels], F[voxels])
+    rest = np.ones(SUBSET_SPEC.num_voxels, bool)
+    rest[voxels] = False
+    assert np.all(grid.labels[rest] == EMPTY)
+
+
+@pytest.mark.parametrize(
+    "voxels, match",
+    [([0.5, 2.0], "integer"), ([[0, 1]], "1-D"), ([-1, 3], "0..314"), ([315], "0..314")],
+)
+def test_splat_voxels_are_validated(voxels, match):
+    scene = random_scene(np.random.default_rng(0), 3)
+    with pytest.raises(ValueError, match=match):
+        splat(scene, SUBSET_SPEC, make_params(), np.array(voxels))

@@ -4,9 +4,12 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussworld.boxes import Box, points_in_box
 from gaussworld.core import EMPTY, GaussianScene
+from gaussworld.flow import Waypoint
 from gaussworld.grid import GridSpec, voxel_centers
 from gaussworld.synth import (
     AgentSpec,
@@ -21,6 +24,7 @@ from gaussworld.synth import (
     rasterize_boxes,
     save_scenario,
 )
+from tests.oracles import rasterize_boxes_full_grid
 
 
 SPEC = GridSpec((-8.0, -6.0, -0.5), (48, 24, 6), 0.5)
@@ -288,3 +292,32 @@ class TestGtFlows:
         sc = generate(corridor_cfg())
         scene = GaussianScene([], [], [], [], ("a", "b", "c"))
         assert gt_flows(sc, scene).steps.shape == (3, 0, 3)
+
+
+BOXES = st.builds(
+    Box,
+    st.tuples(st.floats(-20.0, 20.0), st.floats(-12.0, 12.0), st.floats(-2.0, 3.0)),
+    st.tuples(st.floats(0.05, 30.0), st.floats(0.05, 10.0), st.floats(0.05, 4.0)),
+    st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+    st.integers(0, 4),
+)
+
+
+@given(st.lists(BOXES, max_size=6))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_rasterize_boxes_matches_full_grid_oracle(boxes):
+    """Overlapping, rotated, thin and off-grid boxes label the same voxels as the all-centres test; later boxes win."""
+    assert np.array_equal(rasterize_boxes(boxes, SPEC).labels, rasterize_boxes_full_grid(boxes, SPEC).labels)
+
+
+def test_generated_grids_match_full_grid_oracle():
+    cfg = corridor_cfg(
+        agents=(AgentSpec(2, 3.0, 1.0, yaw=0.4, speed=2.0, turn_rate=0.3), AgentSpec(3, -2.0, -1.5, yaw=2.5, speed=1.0)),
+        ego_speed=3.0,
+        ego_curvature=0.2,
+    )
+    sc = generate(cfg)
+    for k, grid in enumerate(sc.gt_grids):
+        ego = Waypoint.identity() if k == 0 else sc.gt_ego.waypoints[k - 1]
+        boxes = [b.transformed(ego) for b in layout_boxes(cfg.layout) + list(sc.gt_boxes[k])]
+        assert np.array_equal(grid.labels, rasterize_boxes_full_grid(boxes, cfg.spec).labels)
