@@ -92,18 +92,21 @@ class GaussianScene:
     timestamp_index: int = 0
 
     def __post_init__(self):
+        names = tuple(self.class_names)
+        if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
+            raise ValueError(f"class_names must be distinct strings, not {list(names)!r}")
         m = np.asarray(self.means, dtype=np.float64).reshape(-1, 3)
         ls = np.asarray(self.log_scales, dtype=np.float64).reshape(-1, 3)
         q = np.asarray(self.rotations, dtype=np.float64).reshape(-1, 4)
         lg = np.asarray(self.logits, dtype=np.float64)
-        lg = lg.reshape(m.shape[0], -1) if lg.size else lg.reshape(0, len(self.class_names))
+        lg = lg.reshape(m.shape[0], -1) if lg.size else lg.reshape(0, len(names))
         if not (m.shape[0] == ls.shape[0] == q.shape[0] == lg.shape[0]):
             raise ValueError("per-Gaussian arrays must share leading dimension")
-        if len(self.class_names) > MAX_CLASSES:
-            raise ValueError(f"{len(self.class_names)} classes exceed the maximum of {MAX_CLASSES}")
-        if lg.shape[1] != len(self.class_names):
+        if len(names) > MAX_CLASSES:
+            raise ValueError(f"{len(names)} classes exceed the maximum of {MAX_CLASSES}")
+        if lg.shape[1] != len(names):
             raise ValueError(
-                f"logits width {lg.shape[1]} != number of classes {len(self.class_names)}"
+                f"logits width {lg.shape[1]} != number of classes {len(names)}"
             )
         for name, a in (("means", m), ("log_scales", ls), ("rotations", q), ("logits", lg)):
             if not np.all(np.isfinite(a)):
@@ -116,10 +119,10 @@ class GaussianScene:
         object.__setattr__(self, "log_scales", ls)
         object.__setattr__(self, "rotations", q)
         object.__setattr__(self, "logits", lg)
-        object.__setattr__(self, "class_names", tuple(self.class_names))
+        object.__setattr__(self, "class_names", names)
         try:
             pose = np.asarray(self.frame_pose, dtype=np.float64)
-        except (TypeError, ValueError) as e:
+        except (OverflowError, TypeError, ValueError) as e:
             raise ValueError(f"frame_pose must be numeric: {e}") from e
         if pose.shape != (3,):
             raise ValueError(f"frame_pose must have shape (3,), got {pose.shape}")

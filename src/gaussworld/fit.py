@@ -15,7 +15,7 @@ import numpy as np
 from .core import ClassConfig, GaussianScene, dynamic_mask, quat_normalize
 from .flow import FlowField, Trajectory, apply_flow, ego_transform, yaw_matrix
 from .grid import GridSpec, OccupancyGrid
-from .splat import SplatParams, _voxel_terms, evidence_field, occupancy_loss, occupancy_loss_and_grads
+from .splat import SplatParams, _inside_pairs, _voxel_terms, evidence_field, occupancy_loss, occupancy_loss_and_grads
 
 
 class OptimizationError(RuntimeError):
@@ -181,11 +181,10 @@ def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitCo
 _FIELDS = {"mean": "means", "log_scale": "log_scales", "logits": "logits", "rotation": "rotations"}
 
 
-def _pair_evidence(scene: GaussianScene, spec: GridSpec, params: SplatParams):
-    """F and, per pair inside the κ cutoff, its Gaussian, voxel and evidence ρ·p (P, C)."""
-    F, pairs = evidence_field(scene, spec, params)
+def _pair_evidence(scene: GaussianScene, pairs):
+    """Per pair inside the κ cutoff: its Gaussian, voxel and evidence ρ·p (P, C)."""
     gi, flat, q = (np.concatenate([np.zeros(0, int)] + [p[k] for p in pairs]) for k in (1, 2, 4))
-    return F, gi, flat, np.exp(-0.5 * q)[:, None] * scene.class_probs()[gi]
+    return gi, flat, np.exp(-0.5 * q)[:, None] * scene.class_probs()[gi]
 
 
 def _stencil_differences(scene: GaussianScene, target: OccupancyGrid, params: SplatParams, step, names):
@@ -204,8 +203,10 @@ def _stencil_differences(scene: GaussianScene, target: OccupancyGrid, params: Sp
     for f, rows, w, values in edits:
         copies[f][rows, w] = values
     spec, M = target.spec, target.spec.num_voxels
-    F, g0, v0, c0 = _pair_evidence(scene, spec, params)
-    _, g1, v1, c1 = _pair_evidence(GaussianScene(**copies, class_names=scene.class_names), spec, params)
+    F, pairs = evidence_field(scene, spec, params)
+    g0, v0, c0 = _pair_evidence(scene, pairs)
+    copied = GaussianScene(**copies, class_names=scene.class_names)
+    g1, v1, c1 = _pair_evidence(copied, _inside_pairs(copied, spec, params))  # pairs only: no F of the copies is read
     n0 = np.bincount(g0, minlength=len(scene))
     reps = n0[owner]
     first = np.repeat(np.cumsum(n0)[owner] - np.cumsum(reps), reps)  # each copy's offset into the sorted pairs

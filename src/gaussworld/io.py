@@ -92,13 +92,13 @@ def load_scene(path):
     try:
         for i, g in enumerate(gs):
             for key, width in (("mu", 3), ("log_scale", 3), ("quat", 4), ("logits", C)):
-                if key not in g or len(g[key]) != width:
-                    raise ValueError(f"field {key!r} must have {width} entries")
+                if not isinstance(g.get(key), list) or len(g[key]) != width:
+                    raise ValueError(f"field {key!r} must be a list of {width} entries")
             means[i] = g["mu"]
             log_scales[i] = g["log_scale"]
             rotations[i] = g["quat"]
             logits[i] = g["logits"]
-    except (TypeError, ValueError) as e:
+    except (AttributeError, OverflowError, TypeError, ValueError) as e:
         raise FormatError(f"gaussian {i}: {e}") from e
     timestamp_index = doc.get("timestamp_index", 0)
     if isinstance(timestamp_index, bool) or not isinstance(timestamp_index, (int, float)):

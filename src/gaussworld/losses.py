@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import GaussianScene
 from .flow import Trajectory, wrap_angle
@@ -106,6 +105,8 @@ def detection_discrepancy(pred_boxes, gt_boxes, unmatched_penalty=DEFAULT_BOX_PE
     centers_p = np.array([b.center[:2] for b in pred_boxes])
     centers_g = np.array([b.center[:2] for b in gt_boxes])
     cost = np.linalg.norm(centers_p[:, None, :] - centers_g[None, :, :], axis=2)
+    from scipy.optimize import linear_sum_assignment  # deferred: importing it costs every process ~40 MB
+
     rows, cols = linear_sum_assignment(cost)
     total = sum(_box_pair_cost(pred_boxes[r], gt_boxes[c]) for r, c in zip(rows, cols))
     total += unmatched_penalty * (denom - len(rows))
@@ -170,6 +171,8 @@ def motion_discrepancy(pred_motions, gt_motions, matching=None, unmatched_penalt
         return float(np.mean(np.linalg.norm(a[:n] - b[:n], axis=1)))
 
     if matching is None:
+        from scipy.optimize import linear_sum_assignment  # deferred, as in detection_discrepancy
+
         cost = np.array([[ade(p, g) for g in gt_motions] for p in pred_motions])
         rows, cols = linear_sum_assignment(cost)
         matching = list(zip(rows, cols))

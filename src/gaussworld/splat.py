@@ -8,8 +8,9 @@ with respect to every Gaussian parameter are exact derivatives of that scalar.
 
 One block kernel groups Gaussians by voxel-block shape and evaluates a chunk at
 a time with batched matmuls, once per loss evaluation: the backward pass reduces
-over the pairs inside the κ cutoff that the forward pass found. Voxels sum their
-terms in ascending Gaussian order, bit-identical to a per-Gaussian loop.
+over the pairs inside the κ cutoff that the forward pass found, with one
+`bincount` per sum column. Voxels sum their terms in ascending Gaussian order,
+bit-identical to a per-Gaussian loop.
 """
 
 from __future__ import annotations
@@ -107,28 +108,34 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index, voxels
             yield g, cell if to_flat is None else to_flat[cell], u, q
 
 
+def _inside_pairs(scene: GaussianScene, spec: GridSpec, params: SplatParams, voxels=None):
+    """One (g, gi, flat, u, q) per kernel chunk: its ascending Gaussians g and, per pair inside the κ cutoff,
+    the Gaussian, the voxel, u and q. voxels restricts the walk as in evidence_field."""
+    kappa = params.cfg.mahalanobis_cutoff
+    pairs = []
+    if voxels is not None and voxels.size == 0:
+        return pairs
+    for g, flat, u, q in _block_chunks(scene, spec, kappa, params.use_index, voxels):
+        i = np.flatnonzero(q <= kappa**2)  # 1-D takes: cheaper than gathering with a 2-D mask
+        pairs.append((g, g[i // q.shape[1]], flat.take(i), u.reshape(-1, 3).take(i, axis=0), q.take(i)))
+    return pairs
+
+
 def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams, base=None, voxels=None):
     """Dense per-class evidence F (num_voxels, C) and the pairs inside the κ cutoff.
 
-    pairs holds one (g, gi, flat, u, q) per kernel chunk: its ascending Gaussians g
-    and, per inside pair, the Gaussian, the voxel, u and q. Each voxel sums its terms
-    in ascending Gaussian order, exactly as a per-Gaussian scatter-add would. base,
-    when given, is the (num_voxels, C) evidence of Gaussians held fixed: F starts
-    from a copy of it instead of zeros, and the scene's sums are added to it.
-    voxels, when given, is an array of flat voxel indices: only pairs in their
-    index bounding box are walked, so F is exact in that box and 0 (or base)
-    outside it.
+    pairs is _inside_pairs' list; a caller that needs only the pairs calls that.
+    Each voxel sums its terms in ascending Gaussian order, exactly as a
+    per-Gaussian scatter-add would. base, when given, is the (num_voxels, C)
+    evidence of Gaussians held fixed: F starts from a copy of it instead of
+    zeros, and the scene's sums are added to it. voxels, when given, is an array
+    of flat voxel indices: only pairs in their index bounding box are walked, so
+    F is exact in that box and 0 (or base) outside it.
     """
     cfg = params.cfg
     M = spec.num_voxels
     F = np.zeros((M, cfg.num_classes)) if base is None else base.copy()
-    k2 = cfg.mahalanobis_cutoff**2
-    pairs = []
-    if voxels is not None and voxels.size == 0:
-        return F, pairs
-    for g, flat, u, q in _block_chunks(scene, spec, cfg.mahalanobis_cutoff, params.use_index, voxels):
-        i = np.flatnonzero(q <= k2)  # 1-D takes: cheaper than gathering with a 2-D mask
-        pairs.append((g, g[i // q.shape[1]], flat.take(i), u.reshape(-1, 3).take(i, axis=0), q.take(i)))
+    pairs = _inside_pairs(scene, spec, params, voxels)
     if not pairs:
         return F, pairs
     gi = np.concatenate([p[1] for p in pairs])
@@ -256,18 +263,17 @@ def occupancy_loss_and_grads(scene: GaussianScene, target: OccupancyGrid, params
     probs = scene.class_probs()
     s2inv = np.exp(-2.0 * scene.log_scales)
     centers = voxel_centers(target.spec)  # d = center − mean repeats the kernel's bits
-    # per Gaussian: Σw·a | Σw·u² | Σρ·dL/dF | Σw·d⊗a, with w = dL/dρ·ρ and a = S⁻²·Rᵀd
+    # per Gaussian, one bincount per column: Σw·a | Σw·u² | Σρ·dL/dF | Σw·d⊗a, w = dL/dρ·ρ, a = S⁻²·Rᵀd
     sums = np.zeros((N, 15 + C))
     for g, gi, flat, u, q in pairs:
         d, gdF = centers[flat] - scene.means[gi], dLdF[flat]
         rho = np.exp(-0.5 * q)
         w = np.einsum("pc,pc->p", gdF, probs[gi]) * rho
         wa = w[:, None] * (u * s2inv[gi])
-        dwa = (d[:, :, None] * wa[:, None, :]).reshape(-1, 9)
-        terms = np.concatenate([wa, w[:, None] * u * u, rho[:, None] * gdF, dwa], axis=1)
-        K = terms.shape[1]
         b = np.searchsorted(g, gi)  # each pair's row in g
-        sums[g] = np.bincount((b[:, None] * K + np.arange(K)).ravel(), terms.ravel(), g.size * K).reshape(-1, K)
+        cols = [wa[:, k] for k in range(3)] + [w * u[:, k] * u[:, k] for k in range(3)]
+        cols += [rho * gdF[:, c] for c in range(C)] + [d[:, i] * wa[:, j] for i in range(3) for j in range(3)]
+        sums[g] = np.stack([np.bincount(b, col, g.size) for col in cols], axis=1)
     sum_wa, sum_wuu, dLdp = sums[:, :3], sums[:, 3:6], sums[:, 6 : 6 + C]
     dLdR = -sums[:, 6 + C :].reshape(N, 3, 3)  # dρ/dR = -ρ·d·aᵀ
 

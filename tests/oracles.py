@@ -4,6 +4,9 @@ The pointwise evaluators take one query point at a time over every Gaussian,
 with no voxel blocks, so they share no code path with `gaussworld.splat`. The
 whole-grid footprint and box tests are frozen copies of the versions that
 built every voxel centre; the index-box versions must match them bit for bit.
+The flat-bincount backward pass is a frozen copy of the loss and gradients
+before each per-Gaussian sum got its own `bincount`; they must match it bit for
+bit too.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import numpy as np
 from gaussworld.boxes import points_in_box, points_in_rect
 from gaussworld.core import EMPTY, ClassConfig, GaussianScene, quat_normalize, quat_to_rot
 from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
+from gaussworld.splat import _cross_entropy, _dR_dquat, evidence_field
 
 
 def covariance(log_scale, rotation):
@@ -63,3 +67,40 @@ def rasterize_boxes_full_grid(boxes, spec: GridSpec):
     for box in boxes:
         labels[points_in_box(centers, box)] = box.class_id
     return OccupancyGrid(spec, labels)
+
+
+def loss_and_grads_flat_bincount(scene: GaussianScene, target: OccupancyGrid, params, base=None):
+    """`splat.occupancy_loss_and_grads` as it was: each chunk's (pairs × (15+C)) terms in one flat bincount.
+
+    Returns the loss and the d_means, d_log_scales, d_logits and d_rotations arrays.
+    """
+    cfg = params.cfg
+    C = cfg.num_classes
+    N = len(scene)
+    F, pairs = evidence_field(scene, target.spec, params, base)
+    loss, dLdF = _cross_entropy(F, target, cfg, with_grad=True)
+    probs = scene.class_probs()
+    s2inv = np.exp(-2.0 * scene.log_scales)
+    centers = voxel_centers(target.spec)
+    sums = np.zeros((N, 15 + C))
+    for g, gi, flat, u, q in pairs:
+        d, gdF = centers[flat] - scene.means[gi], dLdF[flat]
+        rho = np.exp(-0.5 * q)
+        w = np.einsum("pc,pc->p", gdF, probs[gi]) * rho
+        wa = w[:, None] * (u * s2inv[gi])
+        dwa = (d[:, :, None] * wa[:, None, :]).reshape(-1, 9)
+        terms = np.concatenate([wa, w[:, None] * u * u, rho[:, None] * gdF, dwa], axis=1)
+        K = terms.shape[1]
+        b = np.searchsorted(g, gi)
+        sums[g] = np.bincount((b[:, None] * K + np.arange(K)).ravel(), terms.ravel(), g.size * K).reshape(-1, K)
+    sum_wa, sum_wuu, dLdp = sums[:, :3], sums[:, 3:6], sums[:, 6 : 6 + C]
+    dLdR = -sums[:, 6 + C :].reshape(N, 3, 3)
+    qv = scene.rotations
+    dq_hat = np.einsum("nmij,nij->nm", _dR_dquat(qv), dLdR)
+    return (
+        loss,
+        np.einsum("nij,nj->ni", quat_to_rot(qv), sum_wa),
+        s2inv * sum_wuu,
+        probs * (dLdp - np.sum(dLdp * probs, axis=1, keepdims=True)),
+        dq_hat - qv * np.sum(qv * dq_hat, axis=1, keepdims=True),
+    )

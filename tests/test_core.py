@@ -266,6 +266,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             GaussianScene((0, 0, 0), (0, 0, 0), (1, 0, 0, 0), (0.0, 0.0), ("a", "b", "c"))
 
+    @pytest.mark.parametrize("names", [(None,), ([1],), (1,), ("a", "a"), ("a", 2)])
+    def test_class_names_must_be_distinct_strings(self, names):
+        with pytest.raises(ValueError, match="class_names"):
+            GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, len(names))), names)
+
     def test_dynamic_ids_validated(self):
         with pytest.raises(ValueError):
             ClassConfig(3, dynamic_class_ids={5})

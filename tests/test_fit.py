@@ -410,6 +410,30 @@ class TestCheckGradients:
             counts.append(len(walks))
         assert counts[0] == counts[1]
 
+    def test_scene_of_copies_builds_no_dense_field(self, rng, monkeypatch):
+        """The copies are walked for their pairs only: every dense F is of the checked scene itself."""
+        splat_module = importlib.import_module("gaussworld.splat")  # the package exports a function splat
+        fit_module = importlib.import_module("gaussworld.fit")
+        fields, walks = [], []
+        dense, pairs_only = splat_module.evidence_field, splat_module._inside_pairs
+
+        def counted_field(scene, *args, **kw):
+            fields.append(len(scene))
+            return dense(scene, *args, **kw)
+
+        def counted_pairs(scene, *args, **kw):
+            walks.append(len(scene))
+            return pairs_only(scene, *args, **kw)
+
+        for module in (splat_module, fit_module):
+            monkeypatch.setattr(module, "evidence_field", counted_field)
+            monkeypatch.setattr(module, "_inside_pairs", counted_pairs)
+        scene = random_scene(rng, 5, lo=0.5, hi=3.5)
+        labels = rng.choice([0, 1, 2, EMPTY], GRADCHECK_SPEC.num_voxels).astype(np.uint8)
+        check_gradients(scene, OccupancyGrid(GRADCHECK_SPEC, labels), SplatParams(ClassConfig(3)))
+        assert fields == [5, 5, 5]  # occupancy_loss_and_grads, occupancy_loss and the differences' base F
+        assert 5 * 13 * 4 in walks  # 13 components of each Gaussian at four stencil points
+
     def test_unknown_group_rejected(self, rng):
         target = OccupancyGrid.empty(GRADCHECK_SPEC)
         with pytest.raises(ValueError, match="rotations"):

@@ -1,7 +1,12 @@
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaussworld.core import EMPTY
 from gaussworld.flow import FlowField, Trajectory, Waypoint
@@ -82,6 +87,10 @@ class TestSceneIO:
             (lambda d: {**d, "gaussians": 5}, FormatError, "gaussians"),
             (lambda d: {k: v for k, v in d.items() if k != "gaussians"}, FormatError, "gaussians"),
             (lambda d: {**d, "class_names": 3}, FormatError, "class_names"),
+            (lambda d: {**d, "class_names": [1, "b"]}, FormatError, "class_names"),
+            (lambda d: {**d, "class_names": [None, "b"]}, FormatError, "class_names"),
+            (lambda d: {**d, "class_names": [[1], "b"]}, FormatError, "class_names"),
+            (lambda d: {**d, "class_names": ["a", "a"]}, FormatError, "class_names"),
             (lambda d: {**d, "gaussians": [5]}, FormatError, "gaussian 0"),
             (lambda d: {**d, "gaussians": [d["gaussians"][0], {**d["gaussians"][1], "mu": 5}]}, FormatError, "gaussian 1"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, 0, "a", 0]}]}, FormatError, "gaussian 0"),
@@ -102,7 +111,6 @@ class TestSceneIO:
         ],
     )
     def test_malformed_documents_raise_typed_errors(self, edit, error, match, tmp_path):
-        import json
 
         doc = {
             "format": "gauss-scene",
@@ -115,6 +123,49 @@ class TestSceneIO:
         path.write_text(json.dumps(edit(doc)))
         with pytest.raises(error, match=match):
             load_scene(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(["class_names", "frame_pose", "mu", "log_scale", "quat", "logits"]),
+    value=JSON_VALUES | st.lists(st.integers() | st.floats() | st.text(max_size=2), min_size=1, max_size=5),
+)
+@example(field="mu", value=[10**400, 0, 0])  # past float range: OverflowError, not ValueError
+@example(field="logits", value=[0, -(10**400)])
+@example(field="frame_pose", value=[0, 10**400, 0])
+@example(field="mu", value="123")  # a string of the right length used to broadcast to (123, 123, 123)
+@example(field="class_names", value=["a", "a"])
+def test_any_json_field_value_loads_or_raises_format_error(field, value):
+    """A scene document with any JSON value in one field loads, or raises FormatError and nothing else."""
+    g = {"mu": [0, 0, 0], "log_scale": [0, 0, 0], "quat": [1, 0, 0, 0], "logits": [0, 1]}
+    doc = {"format": "gauss-scene", "version": 1, "class_names": ["a", "b"], "frame_pose": [0.0, 0.0, 0.0]}
+    if field in g:
+        g[field] = value
+    else:
+        doc[field] = value
+    if field == "class_names" and isinstance(value, list):
+        g["logits"] = [0] * len(value)  # a width that matches, so the names themselves are checked
+    doc["gaussians"] = [g]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "scene.json"
+        path.write_text(json.dumps(doc))
+        try:
+            scene = load_scene(path)
+        except FormatError:
+            return
+        save_scene(path, scene)
+        back = load_scene(path)
+    assert all(isinstance(n, str) for n in scene.class_names)
+    assert field not in g or isinstance(value, list)
+    assert back.class_names == scene.class_names and back.frame_pose == scene.frame_pose
+    assert np.array_equal(back.means, scene.means) and np.array_equal(back.logits, scene.logits)
 
 
 class TestGridIO:

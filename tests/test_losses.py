@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +285,13 @@ class TestTrajectoryAndPlanning:
         with pytest.raises(ValueError):
             planning_loss(t, t, LossWeights())
         assert planning_loss(t, t, LossWeights(pred=0)) == 0.0
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    """Only the Hungarian matchers use scipy.optimize; importing the package and the CLI must not load it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, gaussworld, gaussworld.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -18,7 +18,7 @@ from gaussworld.splat import (
     splat,
 )
 from tests.conftest import random_scene
-from tests.oracles import class_field_at, label_at
+from tests.oracles import class_field_at, label_at, loss_and_grads_flat_bincount
 
 
 def make_params(num_classes=3, **kw):
@@ -338,6 +338,27 @@ def test_kernel_matches_per_gaussian_oracle(case, use_index, monkeypatch):
         got = getattr(grads, group)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale, group
+
+
+@pytest.mark.parametrize("num_classes", [1, 4])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_backward_sums_equal_frozen_flat_bincount(case, num_classes):
+    """Per-column bincounts add the same terms to each Gaussian in the same order as one flat bincount did."""
+    spec, scene = KERNEL_CASES[case]
+    rng = np.random.default_rng(11)
+    names = tuple(f"c{c}" for c in range(num_classes))
+    logits = rng.normal(size=(len(scene), num_classes))
+    scene = GaussianScene(scene.means, scene.log_scales, scene.rotations, logits, names)
+    params = SplatParams(ClassConfig(num_classes))
+    target = OccupancyGrid(spec, rng.choice([*range(num_classes), EMPTY], spec.num_voxels).astype(np.uint8))
+    base = evidence_field(random_scene(rng, 8, num_classes, lo=0.0, hi=3.0), spec, params)[0]
+    assert np.any(base > 0)
+    for fixed in (None, base):
+        got = occupancy_loss_and_grads(scene, target, params, fixed)
+        loss, *want = loss_and_grads_flat_bincount(scene, target, params, fixed)
+        assert got.loss_value == loss
+        for group, ref in zip(("d_means", "d_log_scales", "d_logits", "d_rotations"), want):
+            assert np.array_equal(getattr(got, group), ref), group
 
 
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
