@@ -58,12 +58,6 @@ class FitConfig:
         )
 
 
-def _infer_num_classes(target: OccupancyGrid, cfg: FitConfig):
-    if cfg.num_classes is not None:
-        return int(cfg.num_classes)
-    return target.inferred_num_classes()
-
-
 def init_uniform(spec: GridSpec, cfg: FitConfig, num_classes=None):
     """Regular lattice of isotropic Gaussians covering the grid volume.
 
@@ -105,14 +99,14 @@ def _descent_step(scene, grads, cfg):
     return scene.with_arrays(means=means, log_scales=log_scales, rotations=rotations, logits=logits)
 
 
-def fit_gaussians(target: OccupancyGrid, cfg: FitConfig, init_scene=None, class_names=None):
+def fit_gaussians(target: OccupancyGrid, cfg: FitConfig, class_names=None):
     """Fit a Gaussian scene to a target label grid by gradient descent.
 
     Returns (scene, loss_history); loss_history[i] is the loss before step i,
     with the final loss appended.
     """
-    C = _infer_num_classes(target, cfg)
-    scene = init_scene if init_scene is not None else init_uniform(target.spec, cfg, C)
+    C = int(cfg.num_classes) if cfg.num_classes is not None else target.inferred_num_classes()
+    scene = init_uniform(target.spec, cfg, C)
     if class_names is not None:
         scene = GaussianScene(
             scene.means, scene.log_scales, scene.rotations, scene.logits, tuple(class_names)

@@ -12,6 +12,7 @@ import json
 import os
 import struct
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +27,7 @@ GRID_VERSION = 1
 FLOW_MAGIC = b"GFLW"
 FLOW_VERSION = 1
 TRAJECTORY_HEADER = ["step", "x", "y", "psi"]
+NUMBER_TYPES = {int, float}  # what json.load makes of a JSON number; bool and str are refused
 
 
 class FormatError(ValueError):
@@ -100,6 +102,13 @@ def load_scene(path):
             logits[i] = g["logits"]
     except (AttributeError, OverflowError, TypeError, ValueError) as e:
         raise FormatError(f"gaussian {i}: {e}") from e
+    for key in ("mu", "log_scale", "quat", "logits"):  # NumPy has already parsed "2" and true as numbers
+        if not set(map(type, chain.from_iterable(g[key] for g in gs))) <= NUMBER_TYPES:
+            i = next(i for i, g in enumerate(gs) if not set(map(type, g[key])) <= NUMBER_TYPES)
+            raise FormatError(f"gaussian {i}: field {key!r} must hold finite numbers, not {gs[i][key]!r}")
+    frame_pose = doc.get("frame_pose", [0.0, 0.0, 0.0])
+    if not isinstance(frame_pose, list) or not set(map(type, frame_pose)) <= NUMBER_TYPES:
+        raise FormatError("field 'frame_pose' must be a list of numbers")
     timestamp_index = doc.get("timestamp_index", 0)
     if isinstance(timestamp_index, bool) or not isinstance(timestamp_index, (int, float)):
         raise FormatError(f"field 'timestamp_index' must be a number, not {type(timestamp_index).__name__}")
@@ -110,9 +119,7 @@ def load_scene(path):
     if whole != timestamp_index:
         raise FormatError(f"field 'timestamp_index' must be a whole number, not {timestamp_index!r}")
     try:
-        return GaussianScene(
-            means, log_scales, rotations, logits, class_names, doc.get("frame_pose", (0.0, 0.0, 0.0)), whole
-        )
+        return GaussianScene(means, log_scales, rotations, logits, class_names, frame_pose, whole)
     except ValueError as e:
         raise FormatError(f"invalid scene: {e}") from e
 

@@ -19,8 +19,9 @@ from .flow import Trajectory, wrap_angle
 from .grid import OccupancyGrid
 from .splat import SplatParams, splat
 
-DEFAULT_FAR_COST = 10.0  # unmatched-Gaussian penalty, squared-meter equivalent
-DEFAULT_BOX_PENALTY = 5.0  # unmatched-box penalty
+FAR_COST = 10.0  # a side with nothing to match, in squared-meter (scenes) or meter (map) equivalents
+UNMATCHED_PENALTY = 5.0  # per unmatched box or agent motion
+POLYLINE_SPACING = 0.5  # arclength between resampled map points, meters
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,37 @@ class SceneDescription:
     occupancy: OccupancyGrid = None
 
 
+def _matched_mean(match_cost, pair_cost):
+    """Hungarian-match two (P, G) cost arrays on match_cost; sum matched pair_cost.
+
+    Each unmatched item adds UNMATCHED_PENALTY and the sum is divided by
+    max(P, G). Both sides empty score 0, one side empty the penalty.
+    """
+    P, G = match_cost.shape
+    if P == 0 and G == 0:
+        return 0.0
+    if P == 0 or G == 0:
+        return UNMATCHED_PENALTY
+    from scipy.optimize import linear_sum_assignment  # deferred: importing it costs every process ~40 MB
+
+    rows, cols = linear_sum_assignment(match_cost)
+    total = sum(pair_cost[r, c] for r, c in zip(rows, cols))
+    total += UNMATCHED_PENALTY * (max(P, G) - len(rows))
+    return float(total / max(P, G))
+
+
+def _chamfer(cost):
+    """0.5·(mean row minimum + mean column minimum) of a (P, G) cost; an empty side costs FAR_COST, both 0."""
+    if cost.size == 0:
+        return 0.0 if cost.shape == (0, 0) else FAR_COST
+    return float(0.5 * (np.mean(cost.min(axis=1)) + np.mean(cost.min(axis=0))))
+
+
+def _pairwise(f, a, b):
+    """(len(a), len(b)) array of f(x, y), also when a side is empty."""
+    return np.array([[f(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+
+
 def occupancy_discrepancy(scene: GaussianScene, gt: OccupancyGrid, splat_params: SplatParams):
     """Fraction of voxels whose splatted label disagrees with the ground truth.
 
@@ -64,24 +96,18 @@ def occupancy_discrepancy(scene: GaussianScene, gt: OccupancyGrid, splat_params:
     return float(np.mean(grid.labels != gt.labels))
 
 
-def representation_discrepancy(a: GaussianScene, b: GaussianScene, lambda_sem=1.0, far_cost=DEFAULT_FAR_COST):
+def representation_discrepancy(a: GaussianScene, b: GaussianScene):
     """Symmetric Chamfer between Gaussian sets.
 
-    Pair cost is squared mean distance plus lambda_sem times the squared
-    distance between class-probability vectors; one side empty scores the
-    configured far cost per Gaussian.
+    Pair cost is squared mean distance plus the squared distance between
+    class-probability vectors; one side empty scores the flat FAR_COST,
+    whatever the other side's size.
     """
     if a.class_names != b.class_names:
         raise ValueError("scenes must share the class table")
-    na, nb = len(a), len(b)
-    if na == 0 and nb == 0:
-        return 0.0
-    if na == 0 or nb == 0:
-        return float(far_cost)
     d2 = np.sum((a.means[:, None, :] - b.means[None, :, :]) ** 2, axis=2)
     ps = np.sum((a.class_probs()[:, None, :] - b.class_probs()[None, :, :]) ** 2, axis=2)
-    cost = d2 + lambda_sem * ps
-    return float(0.5 * (np.mean(cost.min(axis=1)) + np.mean(cost.min(axis=0))))
+    return _chamfer(d2 + ps)
 
 
 def _box_pair_cost(p, g):
@@ -90,31 +116,20 @@ def _box_pair_cost(p, g):
     return c + s + abs(wrap_angle(p.yaw - g.yaw))
 
 
-def detection_discrepancy(pred_boxes, gt_boxes, unmatched_penalty=DEFAULT_BOX_PENALTY):
+def detection_discrepancy(pred_boxes, gt_boxes):
     """Hungarian-matched L1 discrepancy on box center/size/yaw.
 
     Assignment minimizes center distance; unmatched boxes on either side cost
-    a fixed penalty. Result is averaged over max(len(pred), len(gt)).
+    UNMATCHED_PENALTY. Result is averaged over max(len(pred), len(gt)).
     """
-    np_, ng = len(pred_boxes), len(gt_boxes)
-    if np_ == 0 and ng == 0:
-        return 0.0
-    denom = max(np_, ng)
-    if np_ == 0 or ng == 0:
-        return float(unmatched_penalty)
-    centers_p = np.array([b.center[:2] for b in pred_boxes])
-    centers_g = np.array([b.center[:2] for b in gt_boxes])
-    cost = np.linalg.norm(centers_p[:, None, :] - centers_g[None, :, :], axis=2)
-    from scipy.optimize import linear_sum_assignment  # deferred: importing it costs every process ~40 MB
-
-    rows, cols = linear_sum_assignment(cost)
-    total = sum(_box_pair_cost(pred_boxes[r], gt_boxes[c]) for r, c in zip(rows, cols))
-    total += unmatched_penalty * (denom - len(rows))
-    return float(total / denom)
+    centers_p = np.array([b.center[:2] for b in pred_boxes]).reshape(-1, 2)
+    centers_g = np.array([b.center[:2] for b in gt_boxes]).reshape(-1, 2)
+    dist = np.linalg.norm(centers_p[:, None, :] - centers_g[None, :, :], axis=2)
+    return _matched_mean(dist, _pairwise(_box_pair_cost, pred_boxes, gt_boxes))
 
 
-def resample_polyline(points, spacing=0.5):
-    """Points resampled at fixed arclength spacing, endpoints included."""
+def resample_polyline(points):
+    """Points resampled every POLYLINE_SPACING of arclength, endpoints included."""
     p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if p.shape[0] < 2:
         raise ValueError("polylines need at least 2 points")
@@ -123,62 +138,38 @@ def resample_polyline(points, spacing=0.5):
     total = s[-1]
     if total == 0.0:
         return p[:1]
-    t = np.arange(0.0, total, spacing)
+    t = np.arange(0.0, total, POLYLINE_SPACING)
     t = np.append(t, total)
     return np.stack([np.interp(t, s, p[:, 0]), np.interp(t, s, p[:, 1])], axis=1)
 
 
-def _chamfer_points(a, b):
-    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    return 0.5 * (float(np.mean(d.min(axis=1))) + float(np.mean(d.min(axis=0))))
-
-
-def map_discrepancy(pred_polylines, gt_polylines, spacing=0.5, far_cost=DEFAULT_FAR_COST):
-    """Per-category symmetric Chamfer on arclength-resampled polyline points."""
-    cats = sorted(
-        {c for c, _ in pred_polylines} | {c for c, _ in gt_polylines}
-    )
+def map_discrepancy(pred_polylines, gt_polylines):
+    """Per-category symmetric Chamfer on arclength-resampled polyline points, averaged over categories."""
+    cats = sorted({c for c, _ in pred_polylines} | {c for c, _ in gt_polylines})
     if not cats:
         return 0.0
+
+    def points(polylines, cat):
+        return np.vstack([np.empty((0, 2))] + [resample_polyline(pts) for c, pts in polylines if c == cat])
+
     vals = []
     for cat in cats:
-        pa = [resample_polyline(pts, spacing) for c, pts in pred_polylines if c == cat]
-        pb = [resample_polyline(pts, spacing) for c, pts in gt_polylines if c == cat]
-        if not pa or not pb:
-            vals.append(float(far_cost))
-            continue
-        vals.append(_chamfer_points(np.vstack(pa), np.vstack(pb)))
+        a, b = points(pred_polylines, cat), points(gt_polylines, cat)
+        vals.append(_chamfer(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)))
     return float(np.mean(vals))
 
 
-def motion_discrepancy(pred_motions, gt_motions, matching=None, unmatched_penalty=DEFAULT_BOX_PENALTY):
-    """Average displacement error over matched agents' future waypoints.
+def _ade(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = min(len(a), len(b))
+    return float(np.mean(np.linalg.norm(a[:n] - b[:n], axis=1)))
 
-    matching is a list of (pred index, gt index) pairs; when omitted, agents
-    are Hungarian-matched on their ADE cost.
-    """
-    np_, ng = len(pred_motions), len(gt_motions)
-    if np_ == 0 and ng == 0:
-        return 0.0
-    denom = max(np_, ng)
-    if np_ == 0 or ng == 0:
-        return float(unmatched_penalty)
 
-    def ade(a, b):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        n = min(len(a), len(b))
-        return float(np.mean(np.linalg.norm(a[:n] - b[:n], axis=1)))
-
-    if matching is None:
-        from scipy.optimize import linear_sum_assignment  # deferred, as in detection_discrepancy
-
-        cost = np.array([[ade(p, g) for g in gt_motions] for p in pred_motions])
-        rows, cols = linear_sum_assignment(cost)
-        matching = list(zip(rows, cols))
-    total = sum(ade(pred_motions[r], gt_motions[c]) for r, c in matching)
-    total += unmatched_penalty * (denom - len(matching))
-    return float(total / denom)
+def motion_discrepancy(pred_motions, gt_motions):
+    """Average displacement error over agents Hungarian-matched on that same error."""
+    ade = _pairwise(_ade, pred_motions, gt_motions)
+    return _matched_mean(ade, ade)
 
 
 def perception_loss(
@@ -208,33 +199,24 @@ def perception_loss(
     return float(total)
 
 
-def prediction_loss(
-    forecast_scenes,
-    gt_scenes,
-    weights: LossWeights,
-    gt_descs=None,
-    splat_params: SplatParams = None,
-    pred_descs=None,
-    lambda_sem=1.0,
-):
+def prediction_loss(forecast_scenes, gt_scenes, weights: LossWeights, gt_descs=None, splat_params: SplatParams = None):
     """Sum over future steps of the representation Chamfer plus perception terms.
 
-    The perception term scores descriptions extracted from each forecasted
-    scene (its splatted occupancy; boxes/map/motions only when a predicted
-    description is supplied) against the future ground-truth description.
+    The perception term scores an empty description, with the forecasted
+    scene splatted for occupancy, so its box, map and motion terms charge the
+    full penalty or far cost wherever the future ground truth has items.
     """
     if len(forecast_scenes) != len(gt_scenes):
         raise ValueError("forecast and ground-truth scene lists must align")
     total = 0.0
     for k, (f, g) in enumerate(zip(forecast_scenes, gt_scenes)):
         if weights.re > 0.0:
-            total += weights.re * representation_discrepancy(f, g, lambda_sem)
+            total += weights.re * representation_discrepancy(f, g)
         if weights.perc > 0.0:
             if gt_descs is None:
                 raise ValueError("perception term requires ground-truth descriptions")
-            pred_d = pred_descs[k] if pred_descs is not None else SceneDescription()
             total += weights.perc * perception_loss(
-                pred_d, gt_descs[k], weights, scene=f, splat_params=splat_params
+                SceneDescription(), gt_descs[k], weights, scene=f, splat_params=splat_params
             )
     return float(total)
 

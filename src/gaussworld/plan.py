@@ -16,7 +16,7 @@ import numpy as np
 from .core import EMPTY, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint, forecast
 from .grid import GridSpec, OccupancyGrid
-from .metrics import footprint_mask, footprint_voxels
+from .metrics import footprint_mask, footprint_voxels, l2_errors
 from .splat import SplatParams, splat
 
 
@@ -88,18 +88,15 @@ def _comfort(plan: Trajectory):
     return float(np.sum(np.abs(np.diff(speeds)))) + float(np.sum(np.abs(curv)))
 
 
-def _deviation(plan: Trajectory, reference: Trajectory):
-    n = min(len(plan), len(reference))
-    return float(np.mean(np.linalg.norm(plan.xy()[:n] - reference.xy()[:n], axis=1)))
-
-
 def score(plan: Trajectory, forecast_grids, cfg: PlannerConfig, reference: Trajectory = None):
     """Cost breakdown for one candidate against its ego-frame forecast grids."""
     if len(forecast_grids) != len(plan):
         raise ValueError("one forecast grid per plan step is required")
     collision = sum(_collision_count(g, cfg) for g in forecast_grids)
     comfort = _comfort(plan)
-    deviation = _deviation(plan, reference) if reference is not None else 0.0
+    deviation = 0.0
+    if reference is not None:
+        deviation = l2_errors(plan, reference, (min(len(plan), len(reference)),), "averaged")[0]
     total = (
         cfg.collision_weight * collision
         + cfg.comfort_weight * comfort

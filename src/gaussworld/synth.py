@@ -42,10 +42,9 @@ class AgentSpec:
         pose = compose(Waypoint(self.x, self.y, self.yaw), Waypoint.arc(self.speed, self.turn_rate, t))
         return pose.x, pose.y, pose.psi
 
-    def box_at(self, t, z_center=None):
+    def box_at(self, t):
         x, y, yaw = self.pose_at(t)
-        z = z_center if z_center is not None else self.size[2] / 2.0
-        return Box((x, y, z), self.size, yaw, self.class_id)
+        return Box((x, y, self.size[2] / 2.0), self.size, yaw, self.class_id)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,17 @@ whole-grid footprint and box tests are frozen copies of the versions that
 built every voxel centre; the index-box versions must match them bit for bit.
 The flat-bincount backward pass is a frozen copy of the loss and gradients
 before each per-Gaussian sum got its own `bincount`; they must match it bit for
-bit too.
+bit too. The four discrepancy functions are frozen copies of the loss ledger
+from before its shared matcher and Chamfer helpers, each writing out its own
+Hungarian mean or Chamfer; every ledger value must equal theirs.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from gaussworld.boxes import points_in_box, points_in_rect
 from gaussworld.core import EMPTY, ClassConfig, GaussianScene, quat_normalize, quat_to_rot
+from gaussworld.flow import wrap_angle
 from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
 from gaussworld.splat import _cross_entropy, _dR_dquat, evidence_field
 
@@ -104,3 +108,99 @@ def loss_and_grads_flat_bincount(scene: GaussianScene, target: OccupancyGrid, pa
         probs * (dLdp - np.sum(dLdp * probs, axis=1, keepdims=True)),
         dq_hat - qv * np.sum(qv * dq_hat, axis=1, keepdims=True),
     )
+
+
+def representation_discrepancy_own_chamfer(a: GaussianScene, b: GaussianScene, lambda_sem=1.0, far_cost=10.0):
+    """`losses.representation_discrepancy` as it was, with its own Chamfer."""
+    if a.class_names != b.class_names:
+        raise ValueError("scenes must share the class table")
+    na, nb = len(a), len(b)
+    if na == 0 and nb == 0:
+        return 0.0
+    if na == 0 or nb == 0:
+        return float(far_cost)
+    d2 = np.sum((a.means[:, None, :] - b.means[None, :, :]) ** 2, axis=2)
+    ps = np.sum((a.class_probs()[:, None, :] - b.class_probs()[None, :, :]) ** 2, axis=2)
+    cost = d2 + lambda_sem * ps
+    return float(0.5 * (np.mean(cost.min(axis=1)) + np.mean(cost.min(axis=0))))
+
+
+def _box_pair_cost(p, g):
+    c = sum(abs(a - b) for a, b in zip(p.center, g.center))
+    s = sum(abs(a - b) for a, b in zip(p.size, g.size))
+    return c + s + abs(wrap_angle(p.yaw - g.yaw))
+
+
+def detection_discrepancy_own_matcher(pred_boxes, gt_boxes, unmatched_penalty=5.0):
+    """`losses.detection_discrepancy` as it was, with its own Hungarian mean."""
+    np_, ng = len(pred_boxes), len(gt_boxes)
+    if np_ == 0 and ng == 0:
+        return 0.0
+    denom = max(np_, ng)
+    if np_ == 0 or ng == 0:
+        return float(unmatched_penalty)
+    centers_p = np.array([b.center[:2] for b in pred_boxes])
+    centers_g = np.array([b.center[:2] for b in gt_boxes])
+    cost = np.linalg.norm(centers_p[:, None, :] - centers_g[None, :, :], axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    total = sum(_box_pair_cost(pred_boxes[r], gt_boxes[c]) for r, c in zip(rows, cols))
+    total += unmatched_penalty * (denom - len(rows))
+    return float(total / denom)
+
+
+def _resample_polyline(points, spacing=0.5):
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    if p.shape[0] < 2:
+        raise ValueError("polylines need at least 2 points")
+    seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    total = s[-1]
+    if total == 0.0:
+        return p[:1]
+    t = np.arange(0.0, total, spacing)
+    t = np.append(t, total)
+    return np.stack([np.interp(t, s, p[:, 0]), np.interp(t, s, p[:, 1])], axis=1)
+
+
+def _chamfer_points(a, b):
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return 0.5 * (float(np.mean(d.min(axis=1))) + float(np.mean(d.min(axis=0))))
+
+
+def map_discrepancy_own_chamfer(pred_polylines, gt_polylines, spacing=0.5, far_cost=10.0):
+    """`losses.map_discrepancy` as it was, with its own Chamfer and resampling."""
+    cats = sorted({c for c, _ in pred_polylines} | {c for c, _ in gt_polylines})
+    if not cats:
+        return 0.0
+    vals = []
+    for cat in cats:
+        pa = [_resample_polyline(pts, spacing) for c, pts in pred_polylines if c == cat]
+        pb = [_resample_polyline(pts, spacing) for c, pts in gt_polylines if c == cat]
+        if not pa or not pb:
+            vals.append(float(far_cost))
+            continue
+        vals.append(_chamfer_points(np.vstack(pa), np.vstack(pb)))
+    return float(np.mean(vals))
+
+
+def motion_discrepancy_own_matcher(pred_motions, gt_motions, unmatched_penalty=5.0):
+    """`losses.motion_discrepancy` as it was, Hungarian-matched on ADE, with its own matched mean."""
+    np_, ng = len(pred_motions), len(gt_motions)
+    if np_ == 0 and ng == 0:
+        return 0.0
+    denom = max(np_, ng)
+    if np_ == 0 or ng == 0:
+        return float(unmatched_penalty)
+
+    def ade(a, b):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        n = min(len(a), len(b))
+        return float(np.mean(np.linalg.norm(a[:n] - b[:n], axis=1)))
+
+    cost = np.array([[ade(p, g) for g in gt_motions] for p in pred_motions])
+    rows, cols = linear_sum_assignment(cost)
+    matching = list(zip(rows, cols))
+    total = sum(ade(pred_motions[r], gt_motions[c]) for r, c in matching)
+    total += unmatched_penalty * (denom - len(matching))
+    return float(total / denom)

@@ -103,6 +103,10 @@ class TestSceneIO:
             (lambda d: {**d, "frame_pose": [1.0]}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": 5}, ValueError, "frame_pose"),
             (lambda d: {**d, "frame_pose": [0, {}, 0]}, ValueError, "frame_pose"),
+            (lambda d: {**d, "frame_pose": [True, False, 0]}, FormatError, "'frame_pose' must be a list of numbers"),
+            (lambda d: {**d, "frame_pose": ["1", "2", "3"]}, FormatError, "'frame_pose' must be a list of numbers"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "mu": [True, "2", 3]}]}, FormatError, "gaussian 0: field 'mu'"),
+            (lambda d: {**d, "gaussians": [d["gaussians"][0], {**d["gaussians"][1], "logits": [0, False]}]}, FormatError, "gaussian 1: field 'logits'"),
             (lambda d: {**d, "timestamp_index": [1]}, FormatError, "timestamp_index"),
             (lambda d: {**d, "timestamp_index": float("inf")}, FormatError, "'timestamp_index' must be finite, not inf"),
             (lambda d: {**d, "timestamp_index": float("nan")}, FormatError, "'timestamp_index' must be finite, not nan"),
@@ -142,8 +146,13 @@ JSON_VALUES = st.recursive(
 @example(field="frame_pose", value=[0, 10**400, 0])
 @example(field="mu", value="123")  # a string of the right length used to broadcast to (123, 123, 123)
 @example(field="class_names", value=["a", "a"])
+@example(field="frame_pose", value=[True, False, 0])  # NumPy reads booleans and numeric strings as numbers
+@example(field="mu", value=[True, "2", 3])
 def test_any_json_field_value_loads_or_raises_format_error(field, value):
-    """A scene document with any JSON value in one field loads, or raises FormatError and nothing else."""
+    """A scene document with any JSON value in one field loads, or raises FormatError and nothing else.
+
+    A numeric field loads only when it holds JSON numbers.
+    """
     g = {"mu": [0, 0, 0], "log_scale": [0, 0, 0], "quat": [1, 0, 0, 0], "logits": [0, 1]}
     doc = {"format": "gauss-scene", "version": 1, "class_names": ["a", "b"], "frame_pose": [0.0, 0.0, 0.0]}
     if field in g:
@@ -164,6 +173,7 @@ def test_any_json_field_value_loads_or_raises_format_error(field, value):
         back = load_scene(path)
     assert all(isinstance(n, str) for n in scene.class_names)
     assert field not in g or isinstance(value, list)
+    assert field == "class_names" or {type(v) for v in value} <= {int, float}
     assert back.class_names == scene.class_names and back.frame_pose == scene.frame_pose
     assert np.array_equal(back.means, scene.means) and np.array_equal(back.logits, scene.logits)
 
