@@ -34,12 +34,11 @@ def _splat_params(scene):
     return SplatParams(ClassConfig(scene.num_classes))
 
 
-def _write_report(path, rows):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["metric", "horizon", "value"])
-        for metric, horizon, value in rows:
-            writer.writerow([metric, horizon, repr(float(value))])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_synth(args):
@@ -61,11 +60,7 @@ def cmd_fit(args):
     scene, history = fit_gaussians(target, cfg)
     gio.save_scene(args.out, scene)
     if args.loss_history:
-        with open(args.loss_history, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iteration", "loss"])
-            for i, v in enumerate(history):
-                writer.writerow([i, repr(v)])
+        _write_csv(args.loss_history, ["iteration", "loss"], [[i, repr(v)] for i, v in enumerate(history)])
     print(f"fitted {len(scene)} gaussians, loss {history[0]:.6f} -> {history[-1]:.6f}")
 
 
@@ -121,13 +116,9 @@ def cmd_plan(args):
     best, table = run_planner(scene, flows, spec, cfg, _splat_params(scene), reference)
     gio.save_trajectory(args.out, best)
     if args.costs:
-        with open(args.costs, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["candidate", "collision", "comfort", "deviation", "total"])
-            for i, row in enumerate(table):
-                writer.writerow(
-                    [i, repr(row["collision"]), repr(row["comfort"]), repr(row["deviation"]), repr(row["total"])]
-                )
+        columns = ["collision", "comfort", "deviation", "total"]
+        lines = [[i] + [repr(row[c]) for c in columns] for i, row in enumerate(table)]
+        _write_csv(args.costs, ["candidate"] + columns, lines)
     print(f"best candidate cost {min(r['total'] for r in table):.4f}; trajectory written to {args.out}")
 
 
@@ -191,7 +182,7 @@ def cmd_eval(args):
             rows.append(("collision_rate", h, rate))
     else:
         raise ValueError(f"unknown eval mode {args.mode!r}")
-    _write_report(args.report, rows)
+    _write_csv(args.report, ["metric", "horizon", "value"], [[m, h, repr(float(v))] for m, h, v in rows])
     for metric, horizon, value in rows:
         print(f"{metric}[{horizon}] = {value:.6f}")
 

@@ -18,11 +18,18 @@ from .grid import GridSpec, OccupancyGrid
 from .splat import SplatParams, _inside_pairs, _voxel_terms, evidence_field, occupancy_loss, occupancy_loss_and_grads
 
 
+# fixed descent step sizes, one per parameter group
+LR_MEAN = 2.0
+LR_LOG_SCALE = 5.0
+LR_LOGITS = 20.0
+LR_ROTATION = 0.5
+
+
 class OptimizationError(RuntimeError):
     """Raised when the loss turns non-finite; carries the failing iteration."""
 
-    def __init__(self, iteration, message="loss diverged"):
-        super().__init__(f"{message} at iteration {iteration}")
+    def __init__(self, iteration):
+        super().__init__(f"loss diverged at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -30,35 +37,21 @@ class OptimizationError(RuntimeError):
 class FitConfig:
     num_gaussians: int = 512
     max_iters: int = 300
-    lr_mean: float = 2.0
-    lr_log_scale: float = 5.0
-    lr_logits: float = 20.0
-    lr_rotation: float = 0.5
     freeze_rotation: bool = True
     seed: int = 0
     tol: float = 0.0  # stop when |loss delta| drops below this
     num_classes: int = None  # inferred from the target when None
     dynamic_class_ids: frozenset = field(default_factory=frozenset)
-    empty_evidence: float = 0.1
-    mahalanobis_cutoff: float = 3.0
 
     def __post_init__(self):
         if self.num_gaussians < 1:
             raise ValueError("num_gaussians must be >= 1")
-        for lr in (self.lr_mean, self.lr_log_scale, self.lr_logits, self.lr_rotation):
-            if lr <= 0:
-                raise ValueError("learning rates must be positive")
 
     def class_config(self, num_classes):
-        return ClassConfig(
-            num_classes=num_classes,
-            dynamic_class_ids=self.dynamic_class_ids,
-            empty_evidence=self.empty_evidence,
-            mahalanobis_cutoff=self.mahalanobis_cutoff,
-        )
+        return ClassConfig(num_classes, self.dynamic_class_ids)
 
 
-def init_uniform(spec: GridSpec, cfg: FitConfig, num_classes=None):
+def init_uniform(spec: GridSpec, cfg: FitConfig, num_classes):
     """Regular lattice of isotropic Gaussians covering the grid volume.
 
     The largest m×m×m lattice with m³ ≤ N fills first (row-major, x fastest);
@@ -66,7 +59,7 @@ def init_uniform(spec: GridSpec, cfg: FitConfig, num_classes=None):
     start at half the lattice pitch, rotations at identity, logits at zero.
     """
     N = cfg.num_gaussians
-    C = int(num_classes) if num_classes is not None else (cfg.num_classes or 1)
+    C = int(num_classes)
     ext = np.array(spec.extent())
     o = np.array(spec.origin)
     m = max(1, int(math.floor(N ** (1.0 / 3.0) + 1e-9)))
@@ -89,17 +82,17 @@ def init_uniform(spec: GridSpec, cfg: FitConfig, num_classes=None):
 
 
 def _descent_step(scene, grads, cfg):
-    means = scene.means - cfg.lr_mean * grads.d_means
-    log_scales = scene.log_scales - cfg.lr_log_scale * grads.d_log_scales
-    logits = scene.logits - cfg.lr_logits * grads.d_logits
+    means = scene.means - LR_MEAN * grads.d_means
+    log_scales = scene.log_scales - LR_LOG_SCALE * grads.d_log_scales
+    logits = scene.logits - LR_LOGITS * grads.d_logits
     if cfg.freeze_rotation:
         rotations = scene.rotations
     else:
-        rotations = quat_normalize(scene.rotations - cfg.lr_rotation * grads.d_rotations)
+        rotations = quat_normalize(scene.rotations - LR_ROTATION * grads.d_rotations)
     return scene.with_arrays(means=means, log_scales=log_scales, rotations=rotations, logits=logits)
 
 
-def fit_gaussians(target: OccupancyGrid, cfg: FitConfig, class_names=None):
+def fit_gaussians(target: OccupancyGrid, cfg: FitConfig):
     """Fit a Gaussian scene to a target label grid by gradient descent.
 
     Returns (scene, loss_history); loss_history[i] is the loss before step i,
@@ -107,10 +100,6 @@ def fit_gaussians(target: OccupancyGrid, cfg: FitConfig, class_names=None):
     """
     C = int(cfg.num_classes) if cfg.num_classes is not None else target.inferred_num_classes()
     scene = init_uniform(target.spec, cfg, C)
-    if class_names is not None:
-        scene = GaussianScene(
-            scene.means, scene.log_scales, scene.rotations, scene.logits, tuple(class_names)
-        )
     params = SplatParams(cfg.class_config(C))
     history = []
     prev = None
@@ -164,7 +153,7 @@ def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitCo
             if not math.isfinite(grads.loss_value):
                 raise OptimizationError(it)
             # means' = Rz(-psi)·(mean + delta - t)  =>  dL/ddelta = Rz(-psi)ᵀ·dL/dmeans'
-            delta = delta - cfg.lr_mean * (grads.d_means @ Rz)
+            delta = delta - LR_MEAN * (grads.d_means @ Rz)
             if prev is not None and abs(prev - grads.loss_value) < cfg.tol:
                 break
             prev = grads.loss_value

@@ -200,7 +200,7 @@ def save_trajectory(path, trajectory: Trajectory):
             writer.writerow([k, repr(w.x), repr(w.y), repr(w.psi)])
 
 
-def load_trajectory(path, dt=0.5):
+def load_trajectory(path):
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [c for c in TRAJECTORY_HEADER if reader.fieldnames is None or c not in reader.fieldnames]
@@ -226,4 +226,4 @@ def load_trajectory(path, dt=0.5):
     for k, r in enumerate(rows, start=1):
         if r["step"] != k:
             raise FormatError(f"trajectory steps must be 1..{len(rows)}: step {r['step']} found where step {k} belongs")
-    return Trajectory(tuple(Waypoint(r["x"], r["y"], r["psi"]) for r in rows), dt)
+    return Trajectory(tuple(Waypoint(r["x"], r["y"], r["psi"]) for r in rows))

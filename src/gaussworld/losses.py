@@ -168,6 +168,10 @@ def _ade(a, b):
 
 def motion_discrepancy(pred_motions, gt_motions):
     """Average displacement error over agents Hungarian-matched on that same error."""
+    for side, motions in (("pred", pred_motions), ("gt", gt_motions)):
+        for i, m in enumerate(motions):
+            if len(m) == 0:
+                raise ValueError(f"{side} motion {i} has no waypoints")
     ade = _pairwise(_ade, pred_motions, gt_motions)
     return _matched_mean(ade, ade)
 

@@ -12,6 +12,10 @@ from .core import EMPTY
 from .flow import Trajectory, Waypoint, compose
 from .grid import GridSpec, OccupancyGrid, box_indices, index_box, voxel_centers
 
+# the ego box every plan is scored with: (length, width) in metres, and the z range of the voxels it covers
+EGO_FOOTPRINT = (4.6, 1.9)
+Z_SLAB = (0.2, 2.0)
+
 
 def miou_iou(pred: OccupancyGrid, gt: OccupancyGrid):
     """Semantic mIoU, binary occupied IoU, and per-class IoUs.
@@ -72,7 +76,6 @@ class CollisionScenario:
     grids: tuple = ()
     gt_ego: Trajectory = None
     obstacle_class_ids: frozenset = field(default_factory=frozenset)
-    z_slab: tuple = (0.2, 2.0)
 
 
 def footprint_voxels(spec: GridSpec, pose: Waypoint, footprint, z_slab):
@@ -88,17 +91,9 @@ def footprint_voxels(spec: GridSpec, pose: Waypoint, footprint, z_slab):
     return spec.flat_index(*ijk.T)[inside]
 
 
-def footprint_mask(grid: OccupancyGrid, occupied, pose: Waypoint, footprint, z_slab):
-    """Mask of `occupied` voxels centered in the z slab and under the (length, width) footprint at pose."""
-    mask = np.zeros(grid.spec.num_voxels, dtype=bool)
-    idx = footprint_voxels(grid.spec, pose, footprint, z_slab)
-    mask[idx] = occupied[idx]
-    return mask
-
-
-def _collides_at_step(plan: Trajectory, scenario: CollisionScenario, step, footprint):
+def _collides_at_step(plan: Trajectory, scenario: CollisionScenario, step):
     w = plan.waypoints[step - 1]
-    ego_rect = (w.x, w.y, w.psi, footprint[0], footprint[1])
+    ego_rect = (w.x, w.y, w.psi, *EGO_FOOTPRINT)
     if scenario.boxes_per_step and step <= len(scenario.boxes_per_step):
         for box in scenario.boxes_per_step[step - 1]:
             b = (box.center[0], box.center[1], box.yaw, box.size[0], box.size[1])
@@ -109,19 +104,20 @@ def _collides_at_step(plan: Trajectory, scenario: CollisionScenario, step, footp
         ego_frame = (
             scenario.gt_ego.waypoints[step - 1] if scenario.gt_ego is not None else Waypoint.identity()
         )
-        occupied = grid.labels != EMPTY
-        if scenario.obstacle_class_ids:
-            occupied &= np.isin(grid.labels, sorted(scenario.obstacle_class_ids))
         rel = compose(ego_frame.inverse(), w)
-        if np.any(footprint_mask(grid, occupied, rel, footprint, scenario.z_slab)):
+        labels = grid.labels[footprint_voxels(grid.spec, rel, EGO_FOOTPRINT, Z_SLAB)]
+        occupied = labels != EMPTY
+        if scenario.obstacle_class_ids:
+            occupied &= np.isin(labels, sorted(scenario.obstacle_class_ids))
+        if np.any(occupied):
             return True
     return False
 
 
-def collision_rate(plans, scenarios, horizons=(2, 4, 6), footprint=(4.6, 1.9)):
+def collision_rate(plans, scenarios, horizons=(2, 4, 6)):
     """Percentage of (plan, scenario) samples colliding at or before each horizon.
 
-    A sample collides at horizon h if, at any step <= h, the ego footprint at
+    A sample collides at horizon h if, at any step <= h, the EGO_FOOTPRINT box at
     the planned waypoint pose intersects a ground-truth agent box or an
     obstacle-class occupied voxel.
     """
@@ -131,7 +127,7 @@ def collision_rate(plans, scenarios, horizons=(2, 4, 6), footprint=(4.6, 1.9)):
     first = []  # each sample's first colliding step, inf when none up to the last horizon
     for plan, scenario in zip(plans, scenarios):
         steps = range(1, min(max(horizons, default=0), len(plan)) + 1)
-        first.append(next((k for k in steps if _collides_at_step(plan, scenario, k, footprint)), math.inf))
+        first.append(next((k for k in steps if _collides_at_step(plan, scenario, k)), math.inf))
     return [100.0 * sum(f <= h for f in first) / n if n else 0.0 for h in horizons]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .core import EMPTY, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint, forecast
 from .grid import GridSpec, OccupancyGrid
-from .metrics import footprint_mask, footprint_voxels, l2_errors
+from .metrics import EGO_FOOTPRINT, Z_SLAB, footprint_voxels, l2_errors
 from .splat import SplatParams, splat
 
 
@@ -26,13 +26,13 @@ class PlannerConfig:
     dt: float = 0.5
     speeds: tuple = (2.0, 4.0, 6.0)
     curvatures: tuple = (-0.2, -0.1, 0.0, 0.1, 0.2)
-    footprint_length: float = 4.6
-    footprint_width: float = 1.9
+    footprint_length: float = EGO_FOOTPRINT[0]
+    footprint_width: float = EGO_FOOTPRINT[1]
     collision_weight: float = 1.0
     comfort_weight: float = 0.1
     reference_weight: float = 0.1
     drivable_class_ids: frozenset = field(default_factory=frozenset)
-    z_slab: tuple = (0.2, 2.0)
+    z_slab: tuple = Z_SLAB
 
     def __post_init__(self):
         if self.num_steps < 1:
@@ -71,11 +71,12 @@ def sample_candidates(cfg: PlannerConfig, reference: Trajectory = None):
 
 def _collision_count(grid: OccupancyGrid, cfg: PlannerConfig):
     # forecast grids are already in the planned ego frame: footprint sits at the origin
-    occupied = grid.labels != EMPTY
-    if cfg.drivable_class_ids:
-        occupied &= ~np.isin(grid.labels, sorted(cfg.drivable_class_ids))
     footprint = (cfg.footprint_length, cfg.footprint_width)
-    return int(np.count_nonzero(footprint_mask(grid, occupied, Waypoint.identity(), footprint, cfg.z_slab)))
+    labels = grid.labels[footprint_voxels(grid.spec, Waypoint.identity(), footprint, cfg.z_slab)]
+    occupied = labels != EMPTY
+    if cfg.drivable_class_ids:
+        occupied &= ~np.isin(labels, sorted(cfg.drivable_class_ids))
+    return int(np.count_nonzero(occupied))
 
 
 def _comfort(plan: Trajectory):

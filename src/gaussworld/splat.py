@@ -148,11 +148,11 @@ def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams, ba
     return F, pairs
 
 
-def labels_from_field(F, empty_evidence):
-    """Per-voxel argmax label, EMPTY where total evidence is below threshold."""
+def labels_from_field(F, eps):
+    """Per-voxel argmax label, EMPTY where total evidence is below eps."""
     total = F.sum(axis=1)
     lab = np.argmax(F, axis=1).astype(np.uint8)
-    lab[total < empty_evidence] = EMPTY
+    lab[total < eps] = EMPTY
     return lab
 
 

@@ -21,6 +21,8 @@ from .flow import FlowField, Trajectory, Waypoint, compose
 from .grid import GridSpec, OccupancyGrid, box_indices, index_box, voxel_centers
 from .plan import unicycle_rollout
 
+GT_FLOW_MARGIN = 0.5  # metres a Gaussian's mean may lie outside an agent's box and still follow it
+
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -259,11 +261,11 @@ def load_scenario(directory):
     )
 
 
-def gt_flows(scenario: Scenario, scene: GaussianScene, margin=0.5):
+def gt_flows(scenario: Scenario, scene: GaussianScene):
     """Analytic rigid-motion flows for a scene fitted at step 0.
 
     A Gaussian follows an agent when its argmax class matches and its mean lies
-    inside the agent's step-0 box (inflated by `margin`); everything else gets
+    inside the agent's step-0 box (inflated by GT_FLOW_MARGIN); everything else gets
     zero displacement. Displacements are cumulative from step 0, observation
     frame.
     """
@@ -275,7 +277,7 @@ def gt_flows(scenario: Scenario, scene: GaussianScene, margin=0.5):
         return FlowField(steps)
     arg = np.argmax(scene.logits, axis=1)
     for a in cfg.agents:
-        sel = (arg == a.class_id) & points_in_box(scene.means, a.box_at(0.0), margin)
+        sel = (arg == a.class_id) & points_in_box(scene.means, a.box_at(0.0), GT_FLOW_MARGIN)
         if not np.any(sel):
             continue
         # local offset in the agent frame at step 0, carried along with the agent

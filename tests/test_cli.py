@@ -101,6 +101,15 @@ class TestFitAndSplat:
         assert len(rows) == 11
         assert float(rows[-1]["loss"]) <= float(rows[0]["loss"])
 
+    @pytest.mark.parametrize("flag, moved", [([], False), (["--no-freeze-rotation"], True)])
+    def test_freeze_rotation_flag_reaches_fit(self, workspace, flag, moved):
+        bundle = synth_bundle(workspace)
+        out = workspace / "s.json"
+        args = ["fit", "--target", bundle / "grid_000.occ", "--out", out, "--iters", 30, "--n-gaussians", 27]
+        assert run(args + flag) == 0
+        rotations = gio.load_scene(out).rotations
+        assert np.any(rotations != [1.0, 0.0, 0.0, 0.0]) == moved
+
 
 class TestPrune:
     def test_prune_fraction(self, workspace):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,3 +290,37 @@ class TestInvariants:
     def test_frame_pose_needs_three_finite_values(self, pose):
         with pytest.raises(ValueError, match="frame_pose"):
             GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 1)), ("a",), pose)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gaussworld"
+
+
+def _class_config_settings(path):
+    """Dataclass fields and function parameters named after ClassConfig's ε or κ."""
+    names = ("empty_evidence", "mahalanobis_cutoff")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.arg) and node.arg in names:
+            yield f"{path.name}:{node.lineno} parameter {node.arg}"
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) in names:
+                    yield f"{path.name}:{item.lineno} field {node.name}.{item.target.id}"
+
+
+def _ego_footprint_literals(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value in (4.6, 1.9):
+            yield f"{path.name}:{node.lineno} {node.value!r}"
+
+
+def test_class_config_owns_its_defaults():
+    """ε and κ are settable on ClassConfig only; every other module reads them from a ClassConfig."""
+    found = [f for path in sorted(SRC.glob("*.py")) if path.name != "core.py" for f in _class_config_settings(path)]
+    assert found == []
+
+
+def test_metrics_owns_the_ego_footprint():
+    """The 4.6 x 1.9 m ego box is written once, as metrics.EGO_FOOTPRINT."""
+    found = [f for path in sorted(SRC.glob("*.py")) if path.name != "metrics.py" for f in _ego_footprint_literals(path)]
+    assert found == []
+    assert list(_ego_footprint_literals(SRC / "metrics.py")) != []

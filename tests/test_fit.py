@@ -6,6 +6,7 @@ import pytest
 
 from gaussworld.core import EMPTY, LOG_SCALE_MAX, ClassConfig, GaussianScene
 from gaussworld.fit import (
+    LR_MEAN,
     FitConfig,
     OptimizationError,
     _stencil_differences,
@@ -97,12 +98,17 @@ class TestFitGaussians:
         assert np.array_equal(a.means, b.means)
         assert ha == hb
 
-    def test_class_names_applied(self):
-        spec = GridSpec((0, 0, 0), (4, 4, 2), 0.5)
-        target = box_target(spec, (1, 1, 0), (3, 3, 1), 1, 2)
-        cfg = FitConfig(num_gaussians=8, max_iters=5)
-        scene, _ = fit_gaussians(target, cfg, class_names=("road", "car"))
-        assert scene.class_names == ("road", "car")
+    def test_unfrozen_rotations_move_and_stay_unit(self):
+        spec = GridSpec((0, 0, 0), (8, 8, 4), 0.5)
+        target = box_target(spec, (1, 3, 0), (7, 5, 2), 1, 2)  # an elongated box: rotations have a gradient
+        frozen, _ = fit_gaussians(target, FitConfig(num_gaussians=27, max_iters=30))
+        scene, history = fit_gaussians(target, FitConfig(num_gaussians=27, max_iters=30, freeze_rotation=False))
+        identity = np.array([1.0, 0.0, 0.0, 0.0])
+        assert np.all(frozen.rotations == identity)
+        assert np.max(np.abs(scene.rotations - identity)) > 0.01
+        assert np.allclose(np.linalg.norm(scene.rotations, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert len(history) == 31 and np.all(np.isfinite(history))
+        assert history[-1] < 0.1 * history[0]
 
     def test_optimization_error_carries_iteration(self):
         err = OptimizationError(17)
@@ -145,7 +151,7 @@ class TestFitFlows:
         moved = blob_scene(2.25)
         params = SplatParams(ClassConfig(2))
         target, _ = splat(moved, spec, params)
-        cfg = FitConfig(max_iters=200, lr_mean=2.0, num_classes=2)
+        cfg = FitConfig(max_iters=200, num_classes=2)
         flows = fit_flows(scene, [target], Trajectory((Waypoint.identity(),)), cfg)
         assert flows.steps.shape == (1, 4, 3)
         # individual gaussians also spread a little to tile voxels; the blob
@@ -204,7 +210,7 @@ def _oracle_fit_flows(scene, future_targets, plan, cfg):
             moved = ego_transform(apply_flow(scene, delta), w)
             grads = occupancy_loss_and_grads(moved, target, params)
             d_delta = grads.d_means @ Rz
-            delta = delta - cfg.lr_mean * np.where(mask, d_delta, 0.0)
+            delta = delta - LR_MEAN * np.where(mask, d_delta, 0.0)
             if prev is not None and abs(prev - grads.loss_value) < cfg.tol:
                 break
             prev = grads.loss_value
@@ -284,16 +290,14 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FitConfig(num_gaussians=0)
-        with pytest.raises(ValueError):
-            FitConfig(lr_mean=0.0)
 
     def test_class_config_passthrough(self):
-        cfg = FitConfig(dynamic_class_ids=frozenset({1}), empty_evidence=0.2, mahalanobis_cutoff=2.5)
+        cfg = FitConfig(dynamic_class_ids=frozenset({1}))
         ccfg = cfg.class_config(3)
         assert ccfg.num_classes == 3
         assert ccfg.dynamic_class_ids == frozenset({1})
-        assert ccfg.empty_evidence == 0.2
-        assert ccfg.mahalanobis_cutoff == 2.5
+        assert ccfg.empty_evidence == 0.1
+        assert ccfg.mahalanobis_cutoff == 3.0
 
 
 # Frozen copy of the per-component loop that check_gradients ran before it batched

@@ -299,7 +299,7 @@ class TestTrajectoryIO:
         traj = Trajectory((Waypoint(1.25, -0.5, 0.1), Waypoint(2.5, 0.0, -3.1)), dt=0.5)
         path = tmp_path / "t.csv"
         save_trajectory(path, traj)
-        back = load_trajectory(path, dt=0.5)
+        back = load_trajectory(path)
         assert len(back) == 2
         for a, b in zip(back.waypoints, traj.waypoints):
             assert (a.x, a.y, a.psi) == (b.x, b.y, b.psi)

@@ -180,6 +180,13 @@ class TestMotionDiscrepancy:
         g = [np.zeros((2, 2)), np.ones((2, 2))]
         assert motion_discrepancy(p, g) == pytest.approx(5.0 / 2)
 
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_motion_without_waypoints_names_side_and_agent(self, side):
+        full, empty = [np.zeros((2, 2)), np.ones((2, 2))], [np.ones((2, 2)), np.zeros((0, 2))]
+        p, g = (empty, full) if side == "pred" else (full, empty)
+        with pytest.raises(ValueError, match=f"{side} motion 1 has no waypoints"):
+            motion_discrepancy(p, g)
+
 
 class TestPerceptionLoss:
     def _setup(self, rng):

@@ -12,7 +12,6 @@ from gaussworld.grid import GridSpec, OccupancyGrid
 from gaussworld.metrics import (
     CollisionScenario,
     collision_rate,
-    footprint_mask,
     footprint_voxels,
     forecast_eval,
     l2_errors,
@@ -188,14 +187,14 @@ FOOTPRINT_SPEC = GridSpec((-6.0, -4.0, -0.5), (24, 16, 6), 0.5)
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_footprint_mask_matches_full_grid_oracle(x, y, psi, footprint, z_slab, density, seed):
+def test_footprint_labels_match_full_grid_oracle(x, y, psi, footprint, z_slab, density, seed):
     """Poses on and off the grid, any heading, and z slabs that are inverted or miss the grid."""
-    occupied = np.random.default_rng(seed).uniform(size=FOOTPRINT_SPEC.num_voxels) < density
-    g = OccupancyGrid.empty(FOOTPRINT_SPEC)
+    rng, M = np.random.default_rng(seed), FOOTPRINT_SPEC.num_voxels
+    g = grid(FOOTPRINT_SPEC, np.where(rng.uniform(size=M) < density, rng.integers(0, 3, M), EMPTY))
     pose = Waypoint(x, y, psi)
-    want = footprint_mask_full_grid(g, occupied.copy(), pose, footprint, z_slab)
-    got = footprint_mask(g, occupied, pose, footprint, z_slab)
-    assert np.array_equal(got, want)
+    want = g.labels[footprint_mask_full_grid(g, g.labels != EMPTY, pose, footprint, z_slab)]
+    got = g.labels[footprint_voxels(FOOTPRINT_SPEC, pose, footprint, z_slab)]
+    assert np.array_equal(got[got != EMPTY], want)
     everything = footprint_mask_full_grid(g, np.ones(FOOTPRINT_SPEC.num_voxels, bool), pose, footprint, z_slab)
     assert np.array_equal(footprint_voxels(FOOTPRINT_SPEC, pose, footprint, z_slab), np.flatnonzero(everything))
 

@@ -207,8 +207,8 @@ def test_planner_and_metric_agree_at_identity_pose(seed, density):
     cfg = PlannerConfig(num_steps=1, drivable_class_ids=frozenset({0}))
     here = Trajectory((Waypoint.identity(),))
     count = score(here, [grid], cfg)["collision"]
-    scenario = CollisionScenario(grids=(grid,), obstacle_class_ids=frozenset({1, 2}), z_slab=cfg.z_slab)
-    rate = collision_rate([here], [scenario], horizons=(1,), footprint=(cfg.footprint_length, cfg.footprint_width))
+    scenario = CollisionScenario(grids=(grid,), obstacle_class_ids=frozenset({1, 2}))
+    rate = collision_rate([here], [scenario], horizons=(1,))
     c = voxel_centers(spec)
     expected = np.count_nonzero(
         np.isin(grid.labels, [1, 2])
