@@ -76,11 +76,7 @@ def cmd_fit_flows(args):
     scene = gio.load_scene(args.scene)
     scenario = synth.load_scenario(args.scenario)
     dynamic = frozenset(int(v) for v in args.dynamic_classes.split(",")) if args.dynamic_classes else frozenset()
-    cfg = FitConfig(
-        max_iters=args.iters,
-        num_classes=scene.num_classes,
-        dynamic_class_ids=dynamic,
-    )
+    cfg = FitConfig(max_iters=args.iters, dynamic_class_ids=dynamic)
     flows = fit_flows(scene, list(scenario.gt_grids[1:]), scenario.gt_ego, cfg)
     gio.save_flows(args.out, flows)
     print(f"flow field ({flows.num_steps} steps x {flows.num_gaussians} gaussians) written to {args.out}")

@@ -27,9 +27,12 @@ def quat_normalize(q):
     so repeated normalization (and save/load round-trips) cannot drift.
     """
     q = np.asarray(q, dtype=np.float64)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(q, axis=-1, keepdims=True)
     if np.any(n == 0):
         raise ValueError("zero-norm quaternion")
+    if not np.all(np.isfinite(n)):
+        raise ValueError("quaternion norm overflows float64")
     return np.where(np.abs(n - 1.0) < 1e-12, q, q / n)
 
 
@@ -76,7 +79,7 @@ def softmax(logits, axis=-1):
 
 @dataclass(frozen=True)
 class GaussianScene:
-    """Ordered Gaussian collection with a class table and an SE(2) frame tag.
+    """Ordered Gaussian collection with a class table.
 
     Stored struct-of-arrays: means (N,3), log_scales (N,3), rotations (N,4),
     logits (N,C). Order is stable; per-Gaussian side data (flows, confidences)
@@ -88,8 +91,6 @@ class GaussianScene:
     rotations: np.ndarray
     logits: np.ndarray
     class_names: tuple
-    frame_pose: tuple = (0.0, 0.0, 0.0)  # (x, y, psi) relative to a world anchor
-    timestamp_index: int = 0
 
     def __post_init__(self):
         names = tuple(self.class_names)
@@ -120,15 +121,6 @@ class GaussianScene:
         object.__setattr__(self, "rotations", q)
         object.__setattr__(self, "logits", lg)
         object.__setattr__(self, "class_names", names)
-        try:
-            pose = np.asarray(self.frame_pose, dtype=np.float64)
-        except (OverflowError, TypeError, ValueError) as e:
-            raise ValueError(f"frame_pose must be numeric: {e}") from e
-        if pose.shape != (3,):
-            raise ValueError(f"frame_pose must have shape (3,), got {pose.shape}")
-        if not np.all(np.isfinite(pose)):
-            raise ValueError("frame_pose must be finite")
-        object.__setattr__(self, "frame_pose", tuple(float(v) for v in pose))
 
     def __len__(self):
         return self.means.shape[0]
@@ -140,13 +132,7 @@ class GaussianScene:
     def take(self, indices):
         """Sub-scene keeping the given Gaussian indices, order preserved."""
         idx = np.asarray(indices, dtype=np.int64)
-        return replace(
-            self,
-            means=self.means[idx],
-            log_scales=self.log_scales[idx],
-            rotations=self.rotations[idx],
-            logits=self.logits[idx],
-        )
+        return self.with_arrays(self.means[idx], self.log_scales[idx], self.rotations[idx], self.logits[idx])
 
     def with_arrays(self, means=None, log_scales=None, rotations=None, logits=None):
         return replace(

@@ -13,7 +13,7 @@ unicycles out through `rotate2d`, `Waypoint.to_parent`/`to_local` and `Waypoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,13 +156,7 @@ def ego_transform(scene: GaussianScene, w: Waypoint):
     means = (scene.means - np.array([w.x, w.y, 0.0])) @ yaw_matrix(-w.psi).T
     half = -0.5 * w.psi
     q_yaw = np.array([math.cos(half), 0.0, 0.0, math.sin(half)])
-    pose = compose(Waypoint(*scene.frame_pose), w)
-    return replace(
-        scene,
-        means=means,
-        rotations=quat_multiply(q_yaw[None, :], scene.rotations),
-        frame_pose=(pose.x, pose.y, pose.psi),
-    )
+    return scene.with_arrays(means=means, rotations=quat_multiply(q_yaw[None, :], scene.rotations))
 
 
 def forecast(scene: GaussianScene, flows: FlowField, plan: Trajectory, cfg: ClassConfig = None):
@@ -171,12 +165,7 @@ def forecast(scene: GaussianScene, flows: FlowField, plan: Trajectory, cfg: Clas
         raise ValueError("flow field and plan must cover the same number of steps")
     if flows.num_gaussians != len(scene):
         raise ValueError("flow field does not match the scene size")
-    out = []
-    for k in range(flows.num_steps):
-        moved = apply_flow(scene, flows.steps[k], cfg)
-        shifted = ego_transform(moved, plan.waypoints[k])
-        out.append(replace(shifted, timestamp_index=scene.timestamp_index + k + 1))
-    return out
+    return [ego_transform(apply_flow(scene, step, cfg), w) for step, w in zip(flows.steps, plan.waypoints)]
 
 
 def copy_paste_forecast(current: OccupancyGrid, w: Waypoint):

@@ -1,8 +1,9 @@
 """Versioned file formats with lossless round-trips.
 
-Scenes travel as JSON (small, inspectable); grids and flows are little-endian
-binaries with a 4-byte magic and a u32 version; trajectories are plain CSV.
-Loaders reject unknown versions instead of guessing.
+Scenes travel as JSON (small, inspectable): a format tag, a version, the class
+names and one object per Gaussian; any other top-level key is ignored. Grids
+and flows are little-endian binaries with a 4-byte magic and a u32 version;
+trajectories are plain CSV. Loaders reject unknown versions instead of guessing.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ def save_scene(path, scene: GaussianScene):
         "format": SCENE_FORMAT,
         "version": SCENE_VERSION,
         "class_names": list(scene.class_names),
-        "frame_pose": list(scene.frame_pose),
-        "timestamp_index": scene.timestamp_index,
         "gaussians": [
             {
                 "mu": scene.means[i].tolist(),
@@ -106,20 +105,8 @@ def load_scene(path):
         if not set(map(type, chain.from_iterable(g[key] for g in gs))) <= NUMBER_TYPES:
             i = next(i for i, g in enumerate(gs) if not set(map(type, g[key])) <= NUMBER_TYPES)
             raise FormatError(f"gaussian {i}: field {key!r} must hold finite numbers, not {gs[i][key]!r}")
-    frame_pose = doc.get("frame_pose", [0.0, 0.0, 0.0])
-    if not isinstance(frame_pose, list) or not set(map(type, frame_pose)) <= NUMBER_TYPES:
-        raise FormatError("field 'frame_pose' must be a list of numbers")
-    timestamp_index = doc.get("timestamp_index", 0)
-    if isinstance(timestamp_index, bool) or not isinstance(timestamp_index, (int, float)):
-        raise FormatError(f"field 'timestamp_index' must be a number, not {type(timestamp_index).__name__}")
     try:
-        whole = int(timestamp_index)
-    except (OverflowError, ValueError) as e:
-        raise FormatError(f"field 'timestamp_index' must be finite, not {timestamp_index!r}") from e
-    if whole != timestamp_index:
-        raise FormatError(f"field 'timestamp_index' must be a whole number, not {timestamp_index!r}")
-    try:
-        return GaussianScene(means, log_scales, rotations, logits, class_names, frame_pose, whole)
+        return GaussianScene(means, log_scales, rotations, logits, class_names)
     except ValueError as e:
         raise FormatError(f"invalid scene: {e}") from e
 
@@ -189,6 +176,10 @@ def load_flows(path, expected_gaussians=None):
         data = np.frombuffer(_read_exact(f, F * N * 3 * 4, "displacements"), dtype="<f4")
     if expected_gaussians is not None and N != expected_gaussians:
         raise FormatError(f"flow field covers {N} Gaussians, scene has {expected_gaussians}")
+    bad = np.flatnonzero(~np.isfinite(data))  # before the cast: a signalling NaN warns when cast to float64
+    if bad.size:
+        step, g, axis = np.unravel_index(bad[0], (F, N, 3))
+        raise FormatError(f"displacement [{step}, {g}, {axis}] is {data[bad[0]]}, not finite")
     return FlowField(data.astype(np.float64).reshape(F, N, 3))
 
 

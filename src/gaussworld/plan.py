@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import EMPTY, GaussianScene
 from .flow import FlowField, Trajectory, Waypoint, forecast
-from .grid import GridSpec, OccupancyGrid
+from .grid import GridSpec
 from .metrics import EGO_FOOTPRINT, Z_SLAB, footprint_voxels, l2_errors
 from .splat import SplatParams, splat
 
@@ -47,10 +47,6 @@ class PlannerConfig:
         object.__setattr__(self, "drivable_class_ids", frozenset(int(v) for v in self.drivable_class_ids))
         object.__setattr__(self, "z_slab", tuple(float(v) for v in self.z_slab))
 
-    @property
-    def num_candidates(self):
-        return len(self.speeds) * len(self.curvatures)
-
 
 def unicycle_rollout(speed, curvature, num_steps, dt):
     """Closed-form constant-speed, constant-curvature rollout from the origin pose."""
@@ -69,10 +65,8 @@ def sample_candidates(cfg: PlannerConfig, reference: Trajectory = None):
     return out
 
 
-def _collision_count(grid: OccupancyGrid, cfg: PlannerConfig):
-    # forecast grids are already in the planned ego frame: footprint sits at the origin
-    footprint = (cfg.footprint_length, cfg.footprint_width)
-    labels = grid.labels[footprint_voxels(grid.spec, Waypoint.identity(), footprint, cfg.z_slab)]
+def _collision_count(labels, cfg: PlannerConfig):
+    """Obstacle voxels among the labels under the footprint."""
     occupied = labels != EMPTY
     if cfg.drivable_class_ids:
         occupied &= ~np.isin(labels, sorted(cfg.drivable_class_ids))
@@ -93,7 +87,13 @@ def score(plan: Trajectory, forecast_grids, cfg: PlannerConfig, reference: Traje
     """Cost breakdown for one candidate against its ego-frame forecast grids."""
     if len(forecast_grids) != len(plan):
         raise ValueError("one forecast grid per plan step is required")
-    collision = sum(_collision_count(g, cfg) for g in forecast_grids)
+    spec = forecast_grids[0].spec
+    for k, g in enumerate(forecast_grids):
+        if g.spec != spec:
+            raise ValueError(f"forecast grid of step {k + 1} has spec {g.spec}, but step 1 has {spec}")
+    # forecast grids are already in the planned ego frame: footprint sits at the origin
+    voxels = footprint_voxels(spec, Waypoint.identity(), (cfg.footprint_length, cfg.footprint_width), cfg.z_slab)
+    collision = sum(_collision_count(g.labels[voxels], cfg) for g in forecast_grids)
     comfort = _comfort(plan)
     deviation = 0.0
     if reference is not None:

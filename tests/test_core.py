@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussworld.core import EMPTY, ClassConfig, GaussianScene, prune, quat_to_rot, scene_confidences
+from gaussworld.core import EMPTY, ClassConfig, GaussianScene, prune, quat_normalize, quat_to_rot, scene_confidences
 from gaussworld.grid import GridSpec, voxel_centers
 from gaussworld.splat import SplatParams, evidence_field
 from tests.conftest import random_scene
@@ -256,6 +256,20 @@ class TestInvariants:
         scene = GaussianScene((0, 0, 0), (0, 0, 0), (2, 0, 0, 0), (0.0,), ("a",))
         assert np.linalg.norm(scene.rotations[0]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_rotation_whose_norm_overflows_is_refused(self):
+        # each component is finite, but the sum of squares is not
+        with pytest.raises(ValueError, match="quaternion norm overflows"):
+            GaussianScene(np.zeros((2, 3)), np.zeros((2, 3)), [(1, 0, 0, 0), (1e300, 1e300, 0, 0)], np.zeros((2, 1)), ("a",))
+
+    @pytest.mark.parametrize(
+        "quat, unit",
+        [((1e154, 0, 0, 0), (1, 0, 0, 0)), ((0, 0, -3e153, 4e153), (0, 0, -0.6, 0.8))],
+    )
+    def test_large_rotation_whose_norm_is_finite_normalises(self, quat, unit):
+        # the sum of squares is near the top of float64's range but does not overflow
+        scene = GaussianScene((0, 0, 0), (0, 0, 0), quat, (0.0,), ("a",))
+        np.testing.assert_allclose(scene.rotations[0], unit, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("component", range(4))
     def test_rotation_must_be_finite(self, bad, component):
@@ -286,10 +300,16 @@ class TestInvariants:
         with pytest.raises(ValueError, match="255"):
             GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 256)), names)
 
-    @pytest.mark.parametrize("pose", [(1.0,), (0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, math.nan, 0.0), 5, "abc", [0, {}, 0]])
-    def test_frame_pose_needs_three_finite_values(self, pose):
-        with pytest.raises(ValueError, match="frame_pose"):
-            GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 1)), ("a",), pose)
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda v: max(map(abs, v)) > 1e-3),
+    exponent=st.floats(-150.0, 150.0),
+)
+def test_quat_normalize_is_bit_idempotent(q, exponent):
+    """A normalized quaternion passes through quat_normalize with every bit kept."""
+    once = quat_normalize(np.array(q) * 10.0**exponent)
+    assert np.array_equal(quat_normalize(once), once)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaussworld"

@@ -27,7 +27,7 @@ from tests.conftest import random_scene
 
 class TestSceneIO:
     def test_round_trip_exact(self, rng, tmp_path):
-        scene = random_scene(rng, 12, frame=(1.0, -2.0, 0.3))
+        scene = random_scene(rng, 12)
         path = tmp_path / "scene.json"
         save_scene(path, scene)
         back = load_scene(path)
@@ -36,7 +36,50 @@ class TestSceneIO:
         assert np.array_equal(back.rotations, scene.rotations)
         assert np.array_equal(back.logits, scene.logits)
         assert back.class_names == scene.class_names
-        assert back.frame_pose == scene.frame_pose
+
+    def test_writes_only_the_four_keys(self, rng, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene(path, random_scene(rng, 3))
+        assert list(json.loads(path.read_text())) == ["format", "version", "class_names", "gaussians"]
+
+    def test_keys_of_older_documents_are_ignored(self, tmp_path):
+        g = {"mu": [1, 2, 3], "log_scale": [0, -1, 0.5], "quat": [0.5, 0.5, 0.5, 0.5], "logits": [0.25, -1]}
+        doc = {"format": "gauss-scene", "version": 1, "class_names": ["a", "b"], "gaussians": [g, g]}
+        plain, tagged = tmp_path / "plain.json", tmp_path / "tagged.json"
+        plain.write_text(json.dumps(doc))
+        tagged.write_text(json.dumps({**doc, "frame_pose": [1, -2, 0.3], "timestamp_index": 4}))
+        a, b = load_scene(plain), load_scene(tagged)
+        assert a.class_names == b.class_names
+        for name in ("means", "log_scales", "rotations", "logits"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {"frame_pose": [1.0]},
+            {"frame_pose": 5},
+            {"frame_pose": [0, {}, 0]},
+            {"frame_pose": [True, False, 0]},
+            {"frame_pose": ["1", "2", "3"]},
+            {"timestamp_index": [1]},
+            {"timestamp_index": float("inf")},
+            {"timestamp_index": float("nan")},
+            {"timestamp_index": 1.5},
+            {"timestamp_index": True},
+            {"timestamp_index": 2.0},
+        ],
+    )
+    def test_older_keys_are_ignored_whatever_they_hold(self, legacy, tmp_path):
+        # values that v1 readers used to refuse or convert are now unknown keys like any other
+        g = {"mu": [1, 2, 3], "log_scale": [0, -1, 0.5], "quat": [1, 0, 0, 0], "logits": [0.25, -1]}
+        doc = {"format": "gauss-scene", "version": 1, "class_names": ["a", "b"], "gaussians": [g]}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**doc, **legacy}))
+        scene = load_scene(path)
+        assert scene.class_names == ("a", "b")
+        assert np.array_equal(scene.means, [[1, 2, 3]]) and np.array_equal(scene.logits, [[0.25, -1]])
+        save_scene(path, scene)
+        assert json.loads(path.read_text()) == doc
 
     def test_empty_scene(self, tmp_path):
         from gaussworld.core import GaussianScene
@@ -59,11 +102,6 @@ class TestSceneIO:
         path.write_text('{"format": "gauss-scene", "version": 99, "class_names": [], "gaussians": []}')
         with pytest.raises(FormatError, match="version"):
             load_scene(path)
-
-    def test_whole_float_timestamp_loads(self, tmp_path):
-        path = tmp_path / "scene.json"
-        path.write_text('{"format": "gauss-scene", "version": 1, "class_names": [], "gaussians": [], "timestamp_index": 2.0}')
-        assert load_scene(path).timestamp_index == 2
 
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -98,20 +136,11 @@ class TestSceneIO:
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [float("nan"), 0, 0, 0]}]}, ValueError, "rotations must be finite"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, float("inf"), 0, 0]}]}, ValueError, "rotations must be finite"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1, 0, 0, float("-inf")]}]}, ValueError, "rotations must be finite"),
+            (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "quat": [1e300, 1e300, 0, 0]}]}, FormatError, "quaternion norm overflows"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "log_scale": [float("inf"), 0, 0]}]}, FormatError, "log_scales must be finite"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "log_scale": [0, 0, float("-inf")]}]}, FormatError, "log_scales must be finite"),
-            (lambda d: {**d, "frame_pose": [1.0]}, ValueError, "frame_pose"),
-            (lambda d: {**d, "frame_pose": 5}, ValueError, "frame_pose"),
-            (lambda d: {**d, "frame_pose": [0, {}, 0]}, ValueError, "frame_pose"),
-            (lambda d: {**d, "frame_pose": [True, False, 0]}, FormatError, "'frame_pose' must be a list of numbers"),
-            (lambda d: {**d, "frame_pose": ["1", "2", "3"]}, FormatError, "'frame_pose' must be a list of numbers"),
             (lambda d: {**d, "gaussians": [{**d["gaussians"][0], "mu": [True, "2", 3]}]}, FormatError, "gaussian 0: field 'mu'"),
             (lambda d: {**d, "gaussians": [d["gaussians"][0], {**d["gaussians"][1], "logits": [0, False]}]}, FormatError, "gaussian 1: field 'logits'"),
-            (lambda d: {**d, "timestamp_index": [1]}, FormatError, "timestamp_index"),
-            (lambda d: {**d, "timestamp_index": float("inf")}, FormatError, "'timestamp_index' must be finite, not inf"),
-            (lambda d: {**d, "timestamp_index": float("nan")}, FormatError, "'timestamp_index' must be finite, not nan"),
-            (lambda d: {**d, "timestamp_index": 1.5}, FormatError, "'timestamp_index' must be a whole number, not 1.5"),
-            (lambda d: {**d, "timestamp_index": True}, FormatError, "'timestamp_index' must be a number, not bool"),
         ],
     )
     def test_malformed_documents_raise_typed_errors(self, edit, error, match, tmp_path):
@@ -120,7 +149,6 @@ class TestSceneIO:
             "format": "gauss-scene",
             "version": 1,
             "class_names": ["a", "b"],
-            "frame_pose": [0.0, 0.0, 0.0],
             "gaussians": [{"mu": [0, 0, 0], "log_scale": [0, 0, 0], "quat": [1, 0, 0, 0], "logits": [0, 1]}] * 2,
         }
         path = tmp_path / "bad.json"
@@ -138,23 +166,21 @@ JSON_VALUES = st.recursive(
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
-    field=st.sampled_from(["class_names", "frame_pose", "mu", "log_scale", "quat", "logits"]),
+    field=st.sampled_from(["class_names", "mu", "log_scale", "quat", "logits"]),
     value=JSON_VALUES | st.lists(st.integers() | st.floats() | st.text(max_size=2), min_size=1, max_size=5),
 )
 @example(field="mu", value=[10**400, 0, 0])  # past float range: OverflowError, not ValueError
 @example(field="logits", value=[0, -(10**400)])
-@example(field="frame_pose", value=[0, 10**400, 0])
 @example(field="mu", value="123")  # a string of the right length used to broadcast to (123, 123, 123)
 @example(field="class_names", value=["a", "a"])
-@example(field="frame_pose", value=[True, False, 0])  # NumPy reads booleans and numeric strings as numbers
-@example(field="mu", value=[True, "2", 3])
+@example(field="mu", value=[True, "2", 3])  # NumPy reads booleans and numeric strings as numbers
 def test_any_json_field_value_loads_or_raises_format_error(field, value):
     """A scene document with any JSON value in one field loads, or raises FormatError and nothing else.
 
     A numeric field loads only when it holds JSON numbers.
     """
     g = {"mu": [0, 0, 0], "log_scale": [0, 0, 0], "quat": [1, 0, 0, 0], "logits": [0, 1]}
-    doc = {"format": "gauss-scene", "version": 1, "class_names": ["a", "b"], "frame_pose": [0.0, 0.0, 0.0]}
+    doc = {"format": "gauss-scene", "version": 1, "class_names": ["a", "b"]}
     if field in g:
         g[field] = value
     else:
@@ -174,7 +200,7 @@ def test_any_json_field_value_loads_or_raises_format_error(field, value):
     assert all(isinstance(n, str) for n in scene.class_names)
     assert field not in g or isinstance(value, list)
     assert field == "class_names" or {type(v) for v in value} <= {int, float}
-    assert back.class_names == scene.class_names and back.frame_pose == scene.frame_pose
+    assert back.class_names == scene.class_names
     assert np.array_equal(back.means, scene.means) and np.array_equal(back.logits, scene.logits)
 
 
@@ -282,6 +308,25 @@ class TestFlowIO:
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(FormatError, match="truncated"):
+            load_flows(path)
+
+    def test_bit_flip_to_signalling_nan_rejected_before_the_cast(self, tmp_path):
+        path = tmp_path / "f.flw"
+        save_flows(path, FlowField(np.full((2, 3, 3), 1.25)))
+        data = bytearray(path.read_bytes())
+        data[43] ^= 1 << 6  # high byte of entry 6 (a 16-byte header, then <f4): 1.25 becomes a signalling NaN
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"displacement \[0, 2, 0\] is nan"):
+            load_flows(path)
+
+    @pytest.mark.parametrize("bad, first", [(np.inf, (1, 0, 2)), (-np.inf, (0, 1, 0)), (np.nan, (1, 1, 1))])
+    def test_non_finite_displacement_names_the_first_bad_entry(self, bad, first, tmp_path):
+        steps = np.zeros((2, 2, 3), dtype=np.float32)
+        steps[first] = bad
+        steps[1, 1, 2] = np.nan  # a later bad entry is not the one reported
+        path = tmp_path / "f.flw"
+        path.write_bytes(struct.pack("<4sIII", b"GFLW", 1, 2, 2) + steps.astype("<f4").tobytes())
+        with pytest.raises(FormatError, match=rf"displacement \[{first[0]}, {first[1]}, {first[2]}\] is {bad}, not finite"):
             load_flows(path)
 
     def test_corrupted_shape_rejected_before_reading(self, tmp_path):

@@ -50,7 +50,7 @@ class TestSampleCandidates:
     def test_lattice_size(self):
         cfg = PlannerConfig(speeds=(1.0, 2.0), curvatures=(0.0, 0.1, -0.1))
         cands = sample_candidates(cfg)
-        assert len(cands) == cfg.num_candidates == 6
+        assert len(cands) == 6
         assert all(len(c) == cfg.num_steps for c in cands)
 
     def test_reference_leads(self):
@@ -118,6 +118,13 @@ class TestScore:
         traj = unicycle_rollout(2.0, 0.0, 2, 0.5)
         with pytest.raises(ValueError):
             score(traj, empty_grids(self.spec, 1), self.cfg)
+
+    def test_grids_of_mixed_specs_name_the_step(self):
+        other = GridSpec((-8, -4, 0), (32, 16, 4), 0.25)
+        traj = unicycle_rollout(2.0, 0.0, 3, 0.5)
+        grids = empty_grids(self.spec, 2) + empty_grids(other, 1)
+        with pytest.raises(ValueError, match="step 3"):
+            score(traj, grids, PlannerConfig(num_steps=3))
 
 
 def wall_scene(x, num_classes=2):
