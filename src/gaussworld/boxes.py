@@ -21,13 +21,17 @@ class Box:
     def __post_init__(self):
         c = tuple(float(v) for v in self.center)
         s = tuple(float(v) for v in self.size)
+        yaw = float(self.yaw)
         if len(c) != 3 or len(s) != 3:
             raise ValueError("center and size must have 3 components")
+        for name, v in (("center", c), ("size", s), ("yaw", yaw)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"box {name} must be finite, not {v}")
         if any(v <= 0 for v in s):
             raise ValueError("box sizes must be positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "size", s)
-        object.__setattr__(self, "yaw", float(self.yaw))
+        object.__setattr__(self, "yaw", yaw)
         object.__setattr__(self, "class_id", int(self.class_id))
 
     def transformed(self, pose: Waypoint):

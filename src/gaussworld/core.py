@@ -8,8 +8,9 @@ rather than by a dedicated class.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,19 +19,25 @@ MAX_CLASSES = EMPTY  # labels are uint8 and 255 marks empty, so classes are 0..2
 
 LOG_SCALE_MIN = math.log(1e-4)
 LOG_SCALE_MAX = math.log(1e3)
+NORM_UNDERFLOW = 2.0**-511  # below this norm the sum of squares leaves float64's normal range
 
 
 def quat_normalize(q):
     """Normalize a quaternion (w,x,y,z) to unit length.
 
     Idempotent: rows already unit to machine precision pass through bit-exactly,
-    so repeated normalization (and save/load round-trips) cannot drift.
+    so repeated normalization (and save/load round-trips) cannot drift. A row
+    whose sum of squares underflows is first divided by its largest |component|.
     """
     q = np.asarray(q, dtype=np.float64)
     with np.errstate(over="ignore"):
         n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n == 0):
-        raise ValueError("zero-norm quaternion")
+        if np.any(n < NORM_UNDERFLOW):
+            peak = np.max(np.abs(q), axis=-1, keepdims=True)
+            if np.any(peak == 0):
+                raise ValueError("zero-norm quaternion")
+            q = q / np.where(n < NORM_UNDERFLOW, peak, 1.0)  # other rows divide by 1 and keep their bits
+            n = np.linalg.norm(q, axis=-1, keepdims=True)
     if not np.all(np.isfinite(n)):
         raise ValueError("quaternion norm overflows float64")
     return np.where(np.abs(n - 1.0) < 1e-12, q, q / n)
@@ -83,7 +90,8 @@ class GaussianScene:
 
     Stored struct-of-arrays: means (N,3), log_scales (N,3), rotations (N,4),
     logits (N,C). Order is stable; per-Gaussian side data (flows, confidences)
-    index into this order. Construction is the one place a scene is validated.
+    index into this order. Every array is validated once, when it enters a
+    scene through the constructor or `with_arrays`, and is read-only after.
     """
 
     means: np.ndarray
@@ -96,31 +104,31 @@ class GaussianScene:
         names = tuple(self.class_names)
         if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
             raise ValueError(f"class_names must be distinct strings, not {list(names)!r}")
-        m = np.asarray(self.means, dtype=np.float64).reshape(-1, 3)
-        ls = np.asarray(self.log_scales, dtype=np.float64).reshape(-1, 3)
-        q = np.asarray(self.rotations, dtype=np.float64).reshape(-1, 4)
-        lg = np.asarray(self.logits, dtype=np.float64)
-        lg = lg.reshape(m.shape[0], -1) if lg.size else lg.reshape(0, len(names))
-        if not (m.shape[0] == ls.shape[0] == q.shape[0] == lg.shape[0]):
-            raise ValueError("per-Gaussian arrays must share leading dimension")
         if len(names) > MAX_CLASSES:
             raise ValueError(f"{len(names)} classes exceed the maximum of {MAX_CLASSES}")
-        if lg.shape[1] != len(names):
-            raise ValueError(
-                f"logits width {lg.shape[1]} != number of classes {len(names)}"
-            )
-        for name, a in (("means", m), ("log_scales", ls), ("rotations", q), ("logits", lg)):
+        object.__setattr__(self, "class_names", names)
+        self._store(means=self.means, log_scales=self.log_scales, rotations=self.rotations, logits=self.logits)
+
+    def _store(self, **arrays):
+        """Convert, check and freeze each given array as the scene's own, then check that the shapes agree."""
+        for name, a in arrays.items():
+            a = np.array(a, dtype=np.float64)  # a copy: no caller keeps a writable view of a stored array
+            if name != "logits":
+                a = a.reshape(-1, 4 if name == "rotations" else 3)
+            elif a.ndim != 2:  # split over the Gaussians, whose means are stored first
+                a = a.reshape(len(self.means), -1) if a.size else a.reshape(0, self.num_classes)
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"scene {name} must be finite")
-        ls = np.clip(ls, LOG_SCALE_MIN, LOG_SCALE_MAX)  # after the check: an infinite log-scale is an error, not the clamp
-        q = quat_normalize(q) if q.shape[0] else q
-        for a in (m, ls, q, lg):
+            if name == "log_scales":  # after the check: an infinite log-scale is an error, not the clamp
+                a = np.clip(a, LOG_SCALE_MIN, LOG_SCALE_MAX)
+            elif name == "rotations":
+                a = quat_normalize(a)
             a.setflags(write=False)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "log_scales", ls)
-        object.__setattr__(self, "rotations", q)
-        object.__setattr__(self, "logits", lg)
-        object.__setattr__(self, "class_names", names)
+            object.__setattr__(self, name, a)
+        if not (len(self.means) == len(self.log_scales) == len(self.rotations) == len(self.logits)):
+            raise ValueError("per-Gaussian arrays must share leading dimension")
+        if self.logits.shape[1] != self.num_classes:
+            raise ValueError(f"logits width {self.logits.shape[1]} != number of classes {self.num_classes}")
 
     def __len__(self):
         return self.means.shape[0]
@@ -135,13 +143,11 @@ class GaussianScene:
         return self.with_arrays(self.means[idx], self.log_scales[idx], self.rotations[idx], self.logits[idx])
 
     def with_arrays(self, means=None, log_scales=None, rotations=None, logits=None):
-        return replace(
-            self,
-            means=self.means if means is None else means,
-            log_scales=self.log_scales if log_scales is None else log_scales,
-            rotations=self.rotations if rotations is None else rotations,
-            logits=self.logits if logits is None else logits,
-        )
+        """This scene with the given arrays in place of its own; only those are validated, the rest were when stored."""
+        given = {"means": means, "log_scales": log_scales, "rotations": rotations, "logits": logits}
+        scene = copy.copy(self)
+        scene._store(**{k: a for k, a in given.items() if a is not None})
+        return scene
 
     def class_probs(self):
         """Softmax class probabilities, shape (N, C)."""

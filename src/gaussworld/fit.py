@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ClassConfig, GaussianScene, dynamic_mask, quat_normalize
+from .core import ClassConfig, GaussianScene, dynamic_mask
 from .flow import FlowField, Trajectory, apply_flow, ego_transform, yaw_matrix
 from .grid import GridSpec, OccupancyGrid
 from .splat import SplatParams, _inside_pairs, _voxel_terms, evidence_field, occupancy_loss, occupancy_loss_and_grads
@@ -85,10 +85,7 @@ def _descent_step(scene, grads, cfg):
     means = scene.means - LR_MEAN * grads.d_means
     log_scales = scene.log_scales - LR_LOG_SCALE * grads.d_log_scales
     logits = scene.logits - LR_LOGITS * grads.d_logits
-    if cfg.freeze_rotation:
-        rotations = scene.rotations
-    else:
-        rotations = quat_normalize(scene.rotations - LR_ROTATION * grads.d_rotations)
+    rotations = None if cfg.freeze_rotation else scene.rotations - LR_ROTATION * grads.d_rotations
     return scene.with_arrays(means=means, log_scales=log_scales, rotations=rotations, logits=logits)
 
 

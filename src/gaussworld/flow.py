@@ -52,9 +52,11 @@ class Waypoint:
     psi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "psi", wrap_angle(float(self.psi)))
+        for name in ("x", "y", "psi"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValueError(f"waypoint {name} must be finite, not {v!r}")
+            object.__setattr__(self, name, wrap_angle(v) if name == "psi" else v)
 
     @classmethod
     def identity(cls):
@@ -94,8 +96,11 @@ class Trajectory:
         wps = tuple(self.waypoints)
         if len(wps) < 1:
             raise ValueError("trajectory needs at least one waypoint")
+        dt = float(self.dt)
+        if not 0 < dt < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"trajectory dt must be finite and positive, not {dt!r}")
         object.__setattr__(self, "waypoints", wps)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", dt)
 
     def __len__(self):
         return len(self.waypoints)

@@ -1,10 +1,20 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaussworld.boxes import points_in_rect, rects_overlap
+from gaussworld.boxes import Box, points_in_rect, rects_overlap
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["center", "size", "yaw"])
+def test_box_refuses_non_finite_values(field, bad):
+    box = {"center": (1.0, 2.0, 0.5), "size": (4.0, 2.0, 1.5), "yaw": 0.3, "class_id": 1}
+    box[field] = bad if field == "yaw" else (bad,) + box[field][1:]
+    with pytest.raises(ValueError, match=f"box {field} must be finite"):
+        Box(**box)
 
 
 def test_points_in_rect_rotated_quarter_turn():

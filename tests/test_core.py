@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussworld import core
 from gaussworld.core import EMPTY, ClassConfig, GaussianScene, prune, quat_normalize, quat_to_rot, scene_confidences
+from gaussworld.flow import Waypoint, apply_flow, ego_transform
 from gaussworld.grid import GridSpec, voxel_centers
 from gaussworld.splat import SplatParams, evidence_field
 from tests.conftest import random_scene
@@ -301,15 +303,130 @@ class TestInvariants:
             GaussianScene(np.zeros((1, 3)), np.zeros((1, 3)), [(1, 0, 0, 0)], np.zeros((1, 256)), names)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+    @pytest.mark.parametrize(
+        "quat",
+        [(1e-162, 3e-163, 0, 0), (1e-158, 2e-158, -3e-158, 0), (1e-160, 0, 0, 1e-160), (0, 0, 0, 5e-324)],
+    )
+    def test_rotation_whose_squared_norm_underflows_normalises(self, quat):
+        # every component is finite and one is nonzero, but the sum of squares leaves float64's normal range
+        scene = GaussianScene((0, 0, 0), (0, 0, 0), quat, (0.0,), ("a",))
+        q = np.array(quat) / np.max(np.abs(quat))
+        np.testing.assert_allclose(scene.rotations[0], q / np.linalg.norm(q), rtol=0, atol=1e-15)
+        assert abs(np.linalg.norm(scene.rotations[0]) - 1.0) <= 1e-15
+        assert np.array_equal(quat_normalize(scene.rotations), scene.rotations)
+
+    def test_zero_rotation_is_refused(self):
+        with pytest.raises(ValueError, match="zero-norm quaternion"):
+            GaussianScene(np.zeros((2, 3)), np.zeros((2, 3)), [(1, 0, 0, 0), (0, 0, 0, 0)], np.zeros((2, 1)), ("a",))
+
+
+def _normalize_without_rescaling(q):
+    """quat_normalize as it was before rows whose sum of squares underflows were rescaled, frozen."""
+    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    return np.where(np.abs(n - 1.0) < 1e-12, q, q / n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda v: max(map(abs, v)) > 1e-3),
-    exponent=st.floats(-150.0, 150.0),
+    exponent=st.floats(-300.0, 150.0),
 )
 def test_quat_normalize_is_bit_idempotent(q, exponent):
-    """A normalized quaternion passes through quat_normalize with every bit kept."""
-    once = quat_normalize(np.array(q) * 10.0**exponent)
+    """A normalized quaternion is unit and passes through quat_normalize with every bit kept.
+
+    A row whose sum of squares stays in float64's normal range keeps the bits it had
+    before underflowing rows were rescaled.
+    """
+    raw = np.array(q) * 10.0**exponent
+    once = quat_normalize(raw)
     assert np.array_equal(quat_normalize(once), once)
+    assert abs(np.linalg.norm(once) - 1.0) <= 1e-15
+    if np.linalg.norm(raw) >= 2.0**-511:
+        assert np.array_equal(once, _normalize_without_rescaling(raw))
+
+
+ARRAYS = ("means", "log_scales", "rotations", "logits")
+# each fault spoils one array; None lets it spoil any array that is given
+FAULT_TARGETS = {
+    "non-finite": None,
+    "leading dimension": None,
+    "logits width": "logits",
+    "unnormalised": "rotations",
+    "log-scale range": "log_scales",
+    None: None,
+}
+
+
+def _spoil(a, fault, rng):
+    a = np.array(a)
+    if fault == "non-finite" and a.size:
+        a.flat[rng.integers(a.size)] = rng.choice([math.nan, math.inf, -math.inf])
+    elif fault == "leading dimension":
+        a = np.concatenate([a, np.ones((1, a.shape[1]))])
+    elif fault == "logits width":
+        a = np.concatenate([a, np.zeros((a.shape[0], 1))], axis=1)
+    elif fault == "unnormalised":
+        a = a * 10.0 ** rng.uniform(-200, 200, (a.shape[0], 1))
+    elif fault == "log-scale range" and a.size:
+        a.flat[rng.integers(a.size)] = rng.choice([-40.0, 40.0])
+    return a
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    num_classes=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    names=st.sets(st.sampled_from(ARRAYS), min_size=1),
+    fault=st.sampled_from(list(FAULT_TARGETS)),
+)
+def test_with_arrays_equals_the_constructor(n, num_classes, seed, names, fault):
+    """with_arrays checks only the arrays it is given, yet builds what the constructor builds from the merged arrays."""
+    rng = np.random.default_rng(seed)
+    scene = random_scene(rng, n, num_classes)
+    fresh = random_scene(rng, n, num_classes)
+    names = sorted(names | {FAULT_TARGETS[fault]} - {None}, key=ARRAYS.index)
+    spoilt = names[rng.integers(len(names))] if FAULT_TARGETS[fault] is None else FAULT_TARGETS[fault]
+    given = {k: _spoil(getattr(fresh, k), fault, rng) if k == spoilt else np.array(getattr(fresh, k)) for k in names}
+    merged = {k: given.get(k, getattr(scene, k)) for k in ARRAYS}
+    before = {k: getattr(scene, k).copy() for k in ARRAYS}
+    try:
+        want = GaussianScene(**merged, class_names=scene.class_names)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            scene.with_arrays(**given)
+        assert str(got.value) == str(e)
+        return
+    got = scene.with_arrays(**given)
+    assert got.class_names == want.class_names
+    for k in ARRAYS:
+        assert np.array_equal(getattr(got, k), getattr(want, k))
+        assert not getattr(got, k).flags.writeable
+        assert np.array_equal(getattr(scene, k), before[k])  # the source scene is untouched
+
+
+def test_a_scene_keeps_its_own_copy_of_every_array(rng):
+    """A stored array cannot change after its check: the caller's array stays writable and shares no memory with it."""
+    arrays = {k: np.array(getattr(random_scene(rng, 4), k)) for k in ARRAYS}
+    scene = GaussianScene(**arrays, class_names=("c0", "c1", "c2"))
+    derived = random_scene(rng, 4).with_arrays(**arrays)
+    for k, a in arrays.items():
+        assert a.flags.writeable
+        assert not np.shares_memory(getattr(scene, k), a) and not np.shares_memory(getattr(derived, k), a)
+
+
+def test_only_rotations_that_enter_a_scene_are_normalised(monkeypatch, rng):
+    """Flowing a scene keeps its stored rotations; the ego transform normalises its product once."""
+    scene = random_scene(rng, 8)
+    calls = []
+    normalize = core.quat_normalize
+    monkeypatch.setattr(core, "quat_normalize", lambda q: calls.append(len(q)) or normalize(q))
+    moved = apply_flow(scene, rng.normal(size=(8, 3)))
+    scene.with_arrays(means=scene.means + 1.0)
+    assert calls == []
+    assert moved.rotations is scene.rotations
+    ego_transform(scene, Waypoint(1.0, -2.0, 0.4))
+    assert calls == [8]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaussworld"
@@ -337,6 +454,19 @@ def test_class_config_owns_its_defaults():
     """ε and κ are settable on ClassConfig only; every other module reads them from a ClassConfig."""
     found = [f for path in sorted(SRC.glob("*.py")) if path.name != "core.py" for f in _class_config_settings(path)]
     assert found == []
+
+
+def _quat_normalize_calls(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and "quat_normalize" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_core_owns_quaternion_normalisation():
+    """Rotations are normalised where they enter a scene; no other module calls quat_normalize."""
+    found = [f for path in sorted(SRC.glob("*.py")) if path.name != "core.py" for f in _quat_normalize_calls(path)]
+    assert found == []
+    assert list(_quat_normalize_calls(SRC / "core.py")) != []
 
 
 def test_metrics_owns_the_ego_footprint():

@@ -36,6 +36,21 @@ class TestWaypoint:
             ident = compose(w, w.inverse())
             assert abs(ident.x) < 1e-9 and abs(ident.y) < 1e-9 and abs(ident.psi) < 1e-9
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "psi"])
+    def test_non_finite_is_refused(self, field, bad):
+        # an infinite yaw used to wrap to NaN
+        pose = {"x": 1.0, "y": 2.0, "psi": 0.5, field: bad}
+        with pytest.raises(ValueError, match=f"waypoint {field} must be finite"):
+            Waypoint(**pose)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan, math.inf])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="trajectory dt must be finite and positive"):
+            Trajectory((Waypoint(1.0, 0.0, 0.0),), dt)
+
 
 class TestCompose:
     def test_identity(self, rng):

@@ -1,4 +1,6 @@
+import functools
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -398,6 +400,66 @@ class TestTrajectoryIO:
         path.write_text("step,x,y,psi\n")
         with pytest.raises(FormatError, match="no waypoints"):
             load_trajectory(path)
+
+
+@functools.cache
+def _valid_files():
+    """One small valid file per loader, as bytes."""
+    labels = np.where(np.arange(24) % 5 == 0, EMPTY, np.arange(24) % 3)
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        save_grid(d / "grid", OccupancyGrid(GridSpec((-1.0, 0.5, 0.0), (4, 3, 2), 0.5), labels, num_classes=3))
+        save_flows(d / "flows", FlowField(np.linspace(-2.0, 2.0, 18).reshape(2, 3, 3)))
+        save_trajectory(d / "trajectory", Trajectory((Waypoint(1.25, -0.5, 0.1), Waypoint(2.5, 0.0, -3.1))))
+        return {name: (d / name).read_bytes() for name in ("grid", "flows", "trajectory")}
+
+
+LOADERS = {"grid": load_grid, "flows": load_flows, "trajectory": load_trajectory}
+
+
+@st.composite
+def _corrupted(draw, data):
+    """data truncated, with one bit flipped, or with a span overwritten by arbitrary bytes."""
+    kind = draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+    i = draw(st.integers(0, len(data) - 1))
+    if kind == "truncate":
+        return data[:i]
+    if kind == "flip":
+        return data[:i] + bytes([data[i] ^ 1 << draw(st.integers(0, 7))]) + data[i + 1 :]
+    return data[:i] + draw(st.binary(max_size=16)) + data[i + draw(st.integers(0, 16)) :]
+
+
+def _load_or_raise_value_error(load, data):
+    """Load the bytes from a file; a ValueError (FormatError is one) is the only error allowed out."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input"
+        path.write_bytes(data)
+        try:
+            return load(path)
+        except ValueError:
+            return None
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(loader=st.sampled_from(list(LOADERS)), source=st.sampled_from(list(LOADERS)), data=st.data())
+def test_corrupted_or_foreign_file_loads_or_raises_value_error(loader, source, data):
+    """A truncated, bit-flipped or overwritten file, of its own format or another loader's, raises only ValueError."""
+    _load_or_raise_value_error(LOADERS[loader], data.draw(_corrupted(_valid_files()[source])))
+
+
+CSV_CELLS = st.text(max_size=6) | st.sampled_from(
+    ["1", "2", "-1", "0.5", "1e999", "nan", "-inf", "true", "", " 2 ", "0x1", "1_0", "\u0661", "1.0", "9" * 5000]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(CSV_CELLS, max_size=5), max_size=4), header=st.booleans())
+def test_trajectory_csv_of_any_cells_loads_or_raises_value_error(rows, header):
+    """A CSV whose cells hold any text loads as finite waypoints at steps 1..n, or raises ValueError."""
+    text = ("step,x,y,psi\n" if header else "") + "".join(",".join(row) + "\n" for row in rows)
+    traj = _load_or_raise_value_error(load_trajectory, text.encode())
+    if traj is not None:
+        assert np.all(np.isfinite(traj.xy())) and all(math.isfinite(w.psi) for w in traj.waypoints)
 
 
 class TestDeterministicBytes:

@@ -60,6 +60,13 @@ class TestSampleCandidates:
         assert len(cands) == 2
         assert cands[0] is ref
 
+    @pytest.mark.parametrize("dt", [0, -0.5])
+    def test_planner_config_dt_must_be_positive(self, dt):
+        # "dt": 0 used to give every candidate a NaN comfort cost, and -0.5 rolled every candidate out backwards
+        cfg = from_dict(PlannerConfig, {"num_steps": 2, "dt": dt}, "planner config")
+        with pytest.raises(ValueError, match="trajectory dt must be finite and positive"):
+            sample_candidates(cfg)
+
 
 def empty_grids(spec, n):
     return [OccupancyGrid.empty(spec) for _ in range(n)]

@@ -240,6 +240,26 @@ class TestScenarioIO:
         with pytest.raises(ValueError, match=match):
             load_scenario(tmp_path / "bundle")
 
+    def test_non_finite_box_center_is_refused(self, tmp_path):
+        # a NaN centre fails every separating-axis test, so collision_rate counted every plan as colliding
+        save_scenario(tmp_path / "bundle", generate(corridor_cfg(agents=(AgentSpec(class_id=2, x=6.0, y=0.5),))))
+        path = tmp_path / "bundle" / "scenario.json"
+        doc = json.loads(path.read_text())
+        doc["boxes"][0][0]["center"] = [math.nan, 0.0, 0.5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed 'boxes'.*box center must be finite"):
+            load_scenario(tmp_path / "bundle")
+
+    def test_infinite_ego_yaw_is_refused(self, tmp_path):
+        # it used to load as psi=nan
+        save_scenario(tmp_path / "bundle", generate(corridor_cfg()))
+        path = tmp_path / "bundle" / "scenario.json"
+        doc = json.loads(path.read_text())
+        doc["ego"][0][2] = math.inf
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed 'ego'.*waypoint psi must be finite"):
+            load_scenario(tmp_path / "bundle")
+
 
 class TestGtFlows:
     def make_scene(self, means, class_ids, num_classes=3):
