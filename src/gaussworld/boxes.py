@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import finite_number, finite_numbers, whole_number
 from .flow import Waypoint, rotate2d
 
 
@@ -19,20 +20,13 @@ class Box:
     class_id: int
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.center)
-        s = tuple(float(v) for v in self.size)
-        yaw = float(self.yaw)
-        if len(c) != 3 or len(s) != 3:
-            raise ValueError("center and size must have 3 components")
-        for name, v in (("center", c), ("size", s), ("yaw", yaw)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"box {name} must be finite, not {v}")
-        if any(v <= 0 for v in s):
+        s = finite_numbers(self.size, "box size", 3)
+        if min(s) <= 0:
             raise ValueError("box sizes must be positive")
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", finite_numbers(self.center, "box center", 3))
         object.__setattr__(self, "size", s)
-        object.__setattr__(self, "yaw", yaw)
-        object.__setattr__(self, "class_id", int(self.class_id))
+        object.__setattr__(self, "yaw", finite_number(self.yaw, "box yaw"))
+        object.__setattr__(self, "class_id", whole_number(self.class_id, "box class_id"))
 
     def transformed(self, pose: Waypoint):
         """Box as seen from the frame at planar pose `pose`."""

@@ -1,4 +1,4 @@
-"""Semantic 3D Gaussians: the scene type, quaternion math, class config, pruning.
+"""Semantic 3D Gaussians: the scene type, quaternion math, class config, pruning, field checks.
 
 A scene is a sparse set of anisotropic Gaussian kernels, each carrying a vector
 of class logits. Dense semantics are recovered by evaluating the class-weighted
@@ -20,6 +20,40 @@ MAX_CLASSES = EMPTY  # labels are uint8 and 255 marks empty, so classes are 0..2
 LOG_SCALE_MIN = math.log(1e-4)
 LOG_SCALE_MAX = math.log(1e3)
 NORM_UNDERFLOW = 2.0**-511  # below this norm the sum of squares leaves float64's normal range
+
+
+def whole_number(value, name):
+    """int(value); a ValueError naming the field unless value equals it."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    return n
+
+
+def finite_number(value, name):
+    """float(value); a ValueError naming the field unless that is finite."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return v
+
+
+def finite_numbers(values, name, size=None):
+    """A tuple of finite floats from a list (of size items, when given); a ValueError naming the field otherwise."""
+    try:
+        items = tuple(values) if not isinstance(values, (str, dict)) else None
+    except TypeError:
+        items = None
+    if items is None or size not in (None, len(items)):
+        count = "" if size is None else f"{size} "
+        raise ValueError(f"{name} must be a list of {count}numbers, not {values!r}")
+    return tuple(finite_number(v, name) for v in items)
 
 
 def quat_normalize(q):

@@ -89,31 +89,33 @@ def _descent_step(scene, grads, cfg):
     return scene.with_arrays(means=means, log_scales=log_scales, rotations=rotations, logits=logits)
 
 
+def _descend(x, loss_and_grads, step, cfg):
+    """x ← step(x, loss_and_grads(x)) at most cfg.max_iters times; returns x and the loss before each step.
+    Stops after the first step whose loss differs from the previous one by less than cfg.tol."""
+    history = []
+    for it in range(cfg.max_iters):
+        grads = loss_and_grads(x)
+        if not math.isfinite(grads.loss_value):
+            raise OptimizationError(it)
+        history.append(grads.loss_value)
+        x = step(x, grads)
+        if it and abs(history[-2] - history[-1]) < cfg.tol:
+            break
+    return x, history
+
+
 def fit_gaussians(target: OccupancyGrid, cfg: FitConfig):
     """Fit a Gaussian scene to a target label grid by gradient descent.
 
     Returns (scene, loss_history); loss_history[i] is the loss before step i,
-    with the final loss appended.
+    with the final loss, from the loss-only path, appended.
     """
     C = int(cfg.num_classes) if cfg.num_classes is not None else target.inferred_num_classes()
     scene = init_uniform(target.spec, cfg, C)
     params = SplatParams(cfg.class_config(C))
-    history = []
-    prev = None
-    for it in range(cfg.max_iters):
-        grads = occupancy_loss_and_grads(scene, target, params)
-        if not math.isfinite(grads.loss_value):
-            raise OptimizationError(it)
-        history.append(grads.loss_value)
-        scene = _descent_step(scene, grads, cfg)
-        if prev is not None and abs(prev - grads.loss_value) < cfg.tol:
-            break
-        prev = grads.loss_value
-    final = occupancy_loss_and_grads(scene, target, params).loss_value
-    if not math.isfinite(final):
-        raise OptimizationError(cfg.max_iters)
-    history.append(final)
-    return scene, history
+    grads_at = lambda s: occupancy_loss_and_grads(s, target, params)
+    scene, history = _descend(scene, grads_at, lambda s, g: _descent_step(s, g, cfg), cfg)
+    return scene, history + [occupancy_loss(scene, target, params)]
 
 
 def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitConfig):
@@ -143,17 +145,9 @@ def fit_flows(scene: GaussianScene, future_targets, plan: Trajectory, cfg: FitCo
         # warm start: each step then only needs to absorb one step of motion
         Rz = yaw_matrix(-w.psi)
         base = evidence_field(ego_transform(static, w), target.spec, params)[0]
-        prev = None
-        for it in range(cfg.max_iters):
-            moved = ego_transform(apply_flow(moving, delta), w)
-            grads = occupancy_loss_and_grads(moved, target, params, base)
-            if not math.isfinite(grads.loss_value):
-                raise OptimizationError(it)
-            # means' = Rz(-psi)·(mean + delta - t)  =>  dL/ddelta = Rz(-psi)ᵀ·dL/dmeans'
-            delta = delta - LR_MEAN * (grads.d_means @ Rz)
-            if prev is not None and abs(prev - grads.loss_value) < cfg.tol:
-                break
-            prev = grads.loss_value
+        grads_at = lambda d: occupancy_loss_and_grads(ego_transform(apply_flow(moving, d), w), target, params, base)
+        # means' = Rz(-psi)·(mean + delta - t)  =>  dL/ddelta = Rz(-psi)ᵀ·dL/dmeans'
+        delta = _descend(delta, grads_at, lambda d, g: d - LR_MEAN * (g.d_means @ Rz), cfg)[0]
         steps[k][dynamic] = delta
     return FlowField(steps)
 
@@ -163,7 +157,7 @@ _FIELDS = {"mean": "means", "log_scale": "log_scales", "logits": "logits", "rota
 
 def _pair_evidence(scene: GaussianScene, pairs):
     """Per pair inside the κ cutoff: its Gaussian, voxel and evidence ρ·p (P, C)."""
-    gi, flat, q = (np.concatenate([np.zeros(0, int)] + [p[k] for p in pairs]) for k in (1, 2, 4))
+    gi, flat, q = (np.concatenate([np.zeros(0, int)] + [p[k] for p in pairs]) for k in (1, 2, 5))
     return gi, flat, np.exp(-0.5 * q)[:, None] * scene.class_probs()[gi]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMPTY, ClassConfig, GaussianScene, dynamic_mask, quat_multiply
+from .core import EMPTY, ClassConfig, GaussianScene, dynamic_mask, finite_number, quat_multiply
 from .grid import OccupancyGrid, voxel_centers
 
 
@@ -53,9 +53,7 @@ class Waypoint:
 
     def __post_init__(self):
         for name in ("x", "y", "psi"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"waypoint {name} must be finite, not {v!r}")
+            v = finite_number(getattr(self, name), f"waypoint {name}")
             object.__setattr__(self, name, wrap_angle(v) if name == "psi" else v)
 
     @classmethod

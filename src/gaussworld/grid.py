@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMPTY
+from .core import EMPTY, whole_number
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,7 @@ class GridSpec:
 
     def __post_init__(self):
         o = tuple(float(v) for v in self.origin)
-        raw = tuple(self.dims)
-        d = tuple(int(v) for v in raw)
-        if d != raw:
-            raise ValueError(f"dims must be whole numbers, not {raw}")
+        d = tuple(whole_number(v, "dims") for v in self.dims)
         if len(o) != 3 or len(d) != 3:
             raise ValueError("origin and dims must have 3 components")
         if any(n <= 0 for n in d):

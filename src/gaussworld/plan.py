@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EMPTY, GaussianScene
+from .core import EMPTY, GaussianScene, finite_number, finite_numbers, whole_number
 from .flow import FlowField, Trajectory, Waypoint, forecast
 from .grid import GridSpec
 from .metrics import EGO_FOOTPRINT, Z_SLAB, footprint_voxels, l2_errors
 from .splat import SplatParams, splat
+
+
+_WEIGHTS = ("collision_weight", "comfort_weight", "reference_weight")
 
 
 @dataclass(frozen=True)
@@ -35,17 +38,20 @@ class PlannerConfig:
     z_slab: tuple = Z_SLAB
 
     def __post_init__(self):
+        object.__setattr__(self, "num_steps", whole_number(self.num_steps, "num_steps"))
+        for name in ("dt", "footprint_length", "footprint_width") + _WEIGHTS:
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
         if self.footprint_length <= 0 or self.footprint_width <= 0:
             raise ValueError("footprint must be positive")
-        for w in (self.collision_weight, self.comfort_weight, self.reference_weight):
-            if w < 0:
-                raise ValueError("weights must be >= 0")
-        object.__setattr__(self, "speeds", tuple(float(v) for v in self.speeds))
-        object.__setattr__(self, "curvatures", tuple(float(v) for v in self.curvatures))
-        object.__setattr__(self, "drivable_class_ids", frozenset(int(v) for v in self.drivable_class_ids))
-        object.__setattr__(self, "z_slab", tuple(float(v) for v in self.z_slab))
+        if any(getattr(self, name) < 0 for name in _WEIGHTS):
+            raise ValueError("weights must be >= 0")
+        object.__setattr__(self, "speeds", finite_numbers(self.speeds, "speeds"))
+        object.__setattr__(self, "curvatures", finite_numbers(self.curvatures, "curvatures"))
+        ids = finite_numbers(self.drivable_class_ids, "drivable_class_ids")
+        object.__setattr__(self, "drivable_class_ids", frozenset(whole_number(v, "drivable_class_ids") for v in ids))
+        object.__setattr__(self, "z_slab", finite_numbers(self.z_slab, "z_slab", 2))
 
 
 def unicycle_rollout(speed, curvature, num_steps, dt):

@@ -8,9 +8,9 @@ with respect to every Gaussian parameter are exact derivatives of that scalar.
 
 One block kernel groups Gaussians by voxel-block shape and evaluates a chunk at
 a time with batched matmuls, once per loss evaluation: the backward pass reduces
-over the pairs inside the κ cutoff that the forward pass found, with one
-`bincount` per sum column. Voxels sum their terms in ascending Gaussian order,
-bit-identical to a per-Gaussian loop.
+over the pairs inside the κ cutoff that the forward pass found, and their
+offsets center − mean, with one `bincount` per sum column. Voxels sum their
+terms in ascending Gaussian order, bit-identical to a per-Gaussian loop.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ _CHUNK_PAIRS = 1 << 14  # Gaussian-voxel pairs per kernel chunk; bounds the tran
 
 
 def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index, voxels=None):
-    """Yield (g, flat, u, q) for chunks of Gaussians that share one block shape.
+    """Yield (g, flat, d, u, q) for chunks of Gaussians that share one block shape.
 
     Each Gaussian's block is the voxel box of its κ ellipsoid: half-width
     κ·√Σₖₖ = κ·√(Σⱼ Rₖⱼ² sⱼ²) on axis k, capped at the κ·max(scale) box, padded
@@ -55,7 +55,7 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index, voxels
     given, is a non-empty array of flat voxel indices: every block is then also
     clipped to their index bounding box, and centres are built for that box
     only. g (B,) holds ascending Gaussian indices, flat (B, n) their block voxels
-    in i-slowest order, u = Rᵀ(center − mean) (B, n, 3), and q (B, n) the
+    in i-slowest order, d = center − mean (B, n, 3), u = Rᵀd, and q (B, n) the
     squared Mahalanobis distances. Batched matmul runs the same BLAS call per
     Gaussian as a per-Gaussian loop would, so every value is bit-identical to one.
     """
@@ -105,19 +105,20 @@ def _block_chunks(scene: GaussianScene, spec: GridSpec, kappa, use_index, voxels
             d -= scene.means[g][:, None, :]
             u = d @ rots[g]
             q = ((u * u) @ s2inv[g][:, :, None])[..., 0]
-            yield g, cell if to_flat is None else to_flat[cell], u, q
+            yield g, cell if to_flat is None else to_flat[cell], d, u, q
 
 
 def _inside_pairs(scene: GaussianScene, spec: GridSpec, params: SplatParams, voxels=None):
-    """One (g, gi, flat, u, q) per kernel chunk: its ascending Gaussians g and, per pair inside the κ cutoff,
-    the Gaussian, the voxel, u and q. voxels restricts the walk as in evidence_field."""
+    """One (g, gi, flat, d, u, q) per kernel chunk: its ascending Gaussians g and, per pair inside the κ cutoff,
+    the Gaussian, the voxel, d, u and q. voxels restricts the walk as in evidence_field."""
     kappa = params.cfg.mahalanobis_cutoff
     pairs = []
     if voxels is not None and voxels.size == 0:
         return pairs
-    for g, flat, u, q in _block_chunks(scene, spec, kappa, params.use_index, voxels):
+    for g, flat, d, u, q in _block_chunks(scene, spec, kappa, params.use_index, voxels):
         i = np.flatnonzero(q <= kappa**2)  # 1-D takes: cheaper than gathering with a 2-D mask
-        pairs.append((g, g[i // q.shape[1]], flat.take(i), u.reshape(-1, 3).take(i, axis=0), q.take(i)))
+        d, u = (a.reshape(-1, 3).take(i, axis=0) for a in (d, u))
+        pairs.append((g, g[i // q.shape[1]], flat.take(i), d, u, q.take(i)))
     return pairs
 
 
@@ -141,7 +142,7 @@ def evidence_field(scene: GaussianScene, spec: GridSpec, params: SplatParams, ba
     gi = np.concatenate([p[1] for p in pairs])
     order = np.argsort(gi, kind="stable")
     gi, flat = gi[order], np.concatenate([p[2] for p in pairs])[order]
-    rho = np.exp(-0.5 * np.concatenate([p[4] for p in pairs])[order])
+    rho = np.exp(-0.5 * np.concatenate([p[5] for p in pairs])[order])
     probs = scene.class_probs()
     for c in range(cfg.num_classes):
         F[:, c] += np.bincount(flat, weights=rho * probs[gi, c], minlength=M)
@@ -262,11 +263,10 @@ def occupancy_loss_and_grads(scene: GaussianScene, target: OccupancyGrid, params
 
     probs = scene.class_probs()
     s2inv = np.exp(-2.0 * scene.log_scales)
-    centers = voxel_centers(target.spec)  # d = center − mean repeats the kernel's bits
     # per Gaussian, one bincount per column: Σw·a | Σw·u² | Σρ·dL/dF | Σw·d⊗a, w = dL/dρ·ρ, a = S⁻²·Rᵀd
     sums = np.zeros((N, 15 + C))
-    for g, gi, flat, u, q in pairs:
-        d, gdF = centers[flat] - scene.means[gi], dLdF[flat]
+    for g, gi, flat, d, u, q in pairs:
+        gdF = dLdF[flat]
         rho = np.exp(-0.5 * q)
         w = np.einsum("pc,pc->p", gdF, probs[gi]) * rho
         wa = w[:, None] * (u * s2inv[gi])

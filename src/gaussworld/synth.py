@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as gio
 from .boxes import Box, points_in_box, rect_corners
-from .core import EMPTY, MAX_CLASSES, GaussianScene
+from .core import EMPTY, MAX_CLASSES, GaussianScene, finite_number, finite_numbers, whole_number
 from .flow import FlowField, Trajectory, Waypoint, compose
 from .grid import GridSpec, OccupancyGrid, box_indices, index_box, voxel_centers
 from .plan import unicycle_rollout
@@ -37,7 +37,13 @@ class AgentSpec:
     turn_rate: float = 0.0  # rad/s
 
     def __post_init__(self):
-        object.__setattr__(self, "size", tuple(self.size))
+        object.__setattr__(self, "class_id", whole_number(self.class_id, "agent class_id"))
+        for name in ("x", "y", "yaw", "speed", "turn_rate"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), f"agent {name}"))
+        size = finite_numbers(self.size, "agent size", 3)
+        if min(size) <= 0:
+            raise ValueError(f"agent size must be positive, not {size}")
+        object.__setattr__(self, "size", size)
 
     def pose_at(self, t):
         """Closed-form unicycle pose (x, y, yaw) after time t; yaw is wrapped to (-pi, pi]."""
@@ -61,6 +67,15 @@ class LayoutConfig:
     wall_class_id: int = 1
     length: float = 100.0
 
+    def __post_init__(self):
+        for name in ("corridor_width", "wall_thickness", "wall_height", "ground_thickness", "length"):
+            v = finite_number(getattr(self, name), f"layout {name}")
+            if v <= 0:
+                raise ValueError(f"layout {name} must be positive, not {v}")
+            object.__setattr__(self, name, v)
+        for name in ("drivable_class_id", "wall_class_id"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), f"layout {name}"))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -75,6 +90,10 @@ class ScenarioConfig:
     num_classes: int = 0  # 0: inferred from layout/agent class ids
 
     def __post_init__(self):
+        for name in ("num_steps", "seed", "num_classes"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        for name in ("dt", "ego_speed", "ego_curvature"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -153,7 +172,10 @@ class Scenario:
     gt_boxes: tuple  # per step (0..num_steps), agent boxes in the observation frame
     gt_map: tuple
     gt_ego: Trajectory
-    num_classes: int
+
+    @property
+    def num_classes(self):
+        return self.cfg.inferred_num_classes()
 
     def agent_motions(self):
         """Per-agent future (x, y) waypoints (observation frame), aligned with gt_boxes[0]."""
@@ -188,7 +210,6 @@ def generate(cfg: ScenarioConfig):
         gt_boxes=tuple(gt_boxes),
         gt_map=map_polylines(cfg.layout),
         gt_ego=ego,
-        num_classes=C,
     )
 
 
@@ -215,7 +236,6 @@ def save_scenario(directory, scenario: Scenario):
         "format": "gauss-scenario",
         "version": 1,
         "config": asdict(scenario.cfg),
-        "num_classes": scenario.num_classes,
         "ego": [[w.x, w.y, w.psi] for w in scenario.gt_ego.waypoints],
         "boxes": [[asdict(b) for b in step_boxes] for step_boxes in scenario.gt_boxes],
         "map": [[cat, np.asarray(pts).tolist()] for cat, pts in scenario.gt_map],
@@ -238,9 +258,6 @@ def load_scenario(directory):
     if missing:
         raise ValueError(f"scenario bundle has no {missing[0]!r}")
     cfg = config_from_dict(doc["config"])
-    grids = tuple(
-        gio.load_grid(os.path.join(directory, f"grid_{k:03d}.occ")) for k in range(cfg.num_steps + 1)
-    )
 
     def decode(key, build):
         try:
@@ -251,13 +268,16 @@ def load_scenario(directory):
     boxes = decode("boxes", lambda v: tuple(tuple(gio.from_dict(Box, b, "box") for b in step) for step in v))
     gt_map = decode("map", lambda v: tuple((cat, np.array(pts)) for cat, pts in v))
     ego = decode("ego", lambda v: Trajectory(tuple(Waypoint(*w) for w in v), cfg.dt))
+    n = cfg.num_steps  # n ego poses; boxes and a grid file for each of the n + 1 steps from the start
+    if (len(ego), len(boxes)) != (n, n + 1):
+        raise ValueError(f"scenario bundle has {len(ego)} ego poses and {len(boxes)} box steps for {n} steps")
+    grids = tuple(gio.load_grid(os.path.join(directory, f"grid_{k:03d}.occ")) for k in range(n + 1))
     return Scenario(
         cfg=cfg,
         gt_grids=grids,
         gt_boxes=boxes,
         gt_map=gt_map,
         gt_ego=ego,
-        num_classes=doc.get("num_classes", cfg.inferred_num_classes()),
     )
 
 

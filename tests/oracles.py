@@ -87,7 +87,7 @@ def loss_and_grads_flat_bincount(scene: GaussianScene, target: OccupancyGrid, pa
     s2inv = np.exp(-2.0 * scene.log_scales)
     centers = voxel_centers(target.spec)
     sums = np.zeros((N, 15 + C))
-    for g, gi, flat, u, q in pairs:
+    for g, gi, flat, _, u, q in pairs:  # d is rebuilt from the voxel centres, not read from the pairs
         d, gdF = centers[flat] - scene.means[gi], dLdF[flat]
         rho = np.exp(-0.5 * q)
         w = np.einsum("pc,pc->p", gdF, probs[gi]) * rho

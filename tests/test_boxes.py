@@ -17,6 +17,14 @@ def test_box_refuses_non_finite_values(field, bad):
         Box(**box)
 
 
+@pytest.mark.parametrize("field, value", [("center", (1.0, 2.0)), ("size", "abc"), ("yaw", None), ("class_id", 1.5)])
+def test_box_names_a_malformed_field(field, value):
+    # a fractional class id used to be truncated, and the other three raised without naming the field
+    box = {"center": (1.0, 2.0, 0.5), "size": (4.0, 2.0, 1.5), "yaw": 0.3, "class_id": 1, field: value}
+    with pytest.raises(ValueError, match=f"box {field} must be"):
+        Box(**box)
+
+
 def test_points_in_rect_rotated_quarter_turn():
     # center (1, 2), yaw 90°: the 4 m length runs along +y and the 2 m width along x,
     # so the rectangle covers x in [0, 2] and y in [0, 4]; z is ignored

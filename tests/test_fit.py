@@ -110,6 +110,22 @@ class TestFitGaussians:
         assert len(history) == 31 and np.all(np.isfinite(history))
         assert history[-1] < 0.1 * history[0]
 
+    def test_final_loss_comes_from_the_loss_only_path(self, monkeypatch):
+        spec = GridSpec((0, 0, 0), (6, 6, 3), 0.5)
+        target = box_target(spec, (1, 1, 0), (5, 5, 2), 1, 2)
+        cfg = FitConfig(num_gaussians=27, max_iters=5, seed=7)
+        fit_module, calls = importlib.import_module("gaussworld.fit"), []
+
+        def counted(*args):
+            calls.append(args)
+            return occupancy_loss_and_grads(*args)
+
+        monkeypatch.setattr(fit_module, "occupancy_loss_and_grads", counted)
+        scene, history = fit_gaussians(target, cfg)
+        # one backward pass per step, none for the final loss
+        assert len(calls) == cfg.max_iters == len(history) - 1
+        assert history[-1] == occupancy_loss(scene, target, SplatParams(cfg.class_config(2)))
+
     def test_optimization_error_carries_iteration(self):
         err = OptimizationError(17)
         assert err.iteration == 17
@@ -284,6 +300,23 @@ class TestFitFlowsStaticBase:
         assert walks.count(n_static) == len(FLOW_PLAN)
         assert walks.count(n_dynamic) == len(FLOW_PLAN) * cfg.max_iters
         assert len(walks) == len(FLOW_PLAN) * (1 + cfg.max_iters)
+
+    def test_early_stop_walks_two_iterations_per_step(self, monkeypatch):
+        scene, targets, _ = _flow_problem({2})
+        cfg = FitConfig(max_iters=4, tol=math.inf, num_classes=3, dynamic_class_ids=frozenset({2}))
+        want = _oracle_fit_flows(scene, targets, FLOW_PLAN, cfg)
+        splat_module = importlib.import_module("gaussworld.splat")
+        block_chunks, walks = splat_module._block_chunks, []
+
+        def counting(*args):
+            walks.append(args)
+            return block_chunks(*args)
+
+        monkeypatch.setattr(splat_module, "_block_chunks", counting)
+        got = fit_flows(scene, targets, FLOW_PLAN, cfg).steps
+        # per step: the static base field, then two iterations, the second of which stops
+        assert len(walks) == len(FLOW_PLAN) * (1 + 2)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestFitConfig:

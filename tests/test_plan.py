@@ -1,13 +1,16 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaussworld.core import ClassConfig, EMPTY, GaussianScene
 from gaussworld.flow import FlowField, Trajectory, Waypoint, forecast
 from gaussworld.grid import GridSpec, OccupancyGrid, voxel_centers
 from gaussworld.io import from_dict
-from gaussworld.metrics import CollisionScenario, collision_rate
+from gaussworld.metrics import CollisionScenario, collision_rate, footprint_voxels
 from gaussworld.plan import (
     PlannerConfig,
     plan,
@@ -18,6 +21,7 @@ from gaussworld.plan import (
 from gaussworld.splat import SplatParams, splat
 from gaussworld.synth import gt_flows
 from tests.test_acceptance import corridor_with_oncoming_agent, voxel_perfect_scene
+from tests.test_io import JSON_VALUES
 
 
 class TestUnicycleRollout:
@@ -195,6 +199,57 @@ class TestPlannerConfig:
             PlannerConfig(footprint_width=0.0)
         with pytest.raises(ValueError):
             PlannerConfig(collision_weight=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_steps", 2.5),
+            ("num_steps", "2"),
+            ("dt", "x"),
+            ("dt", math.nan),
+            ("speeds", 5),
+            ("speeds", [1.0, None]),
+            ("curvatures", "0.1"),
+            ("footprint_length", [4.6]),
+            ("comfort_weight", math.nan),
+            ("drivable_class_ids", [0.5]),
+            ("z_slab", [1]),
+            ("z_slab", [0.0, math.inf]),
+        ],
+    )
+    def test_a_malformed_field_is_named_when_built(self, field, value):
+        # each used to build and fail later, or to fail with a TypeError or a message that does not name the field
+        with pytest.raises(ValueError, match=field):
+            PlannerConfig(**{field: value})
+
+    def test_whole_floats_are_whole_numbers(self):
+        cfg = PlannerConfig(num_steps=2.0, drivable_class_ids=[1.0])
+        assert cfg.num_steps == 2 and type(cfg.num_steps) is int
+        assert len(sample_candidates(cfg)[0]) == 2
+        assert cfg.drivable_class_ids == frozenset({1})
+
+
+FOOTPRINT_SPEC = GridSpec((-4.0, -4.0, -1.0), (16, 16, 4), 0.5)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(field=st.sampled_from([f.name for f in fields(PlannerConfig)]), value=JSON_VALUES)
+@example(field="num_steps", value=2.0)
+@example(field="dt", value="x")
+@example(field="z_slab", value=[1])
+@example(field="speeds", value=[10**400])  # past float range: OverflowError, not ValueError
+def test_planner_config_of_any_field_value_works_or_raises_value_error(field, value):
+    """A planner config with any JSON value in one field is refused with a ValueError, or builds and is usable."""
+    try:
+        cfg = from_dict(PlannerConfig, {field: value}, "planner config")
+    except ValueError:
+        return
+    footprint_voxels(FOOTPRINT_SPEC, Waypoint.identity(), (cfg.footprint_length, cfg.footprint_width), cfg.z_slab)
+    if cfg.num_steps <= 12:
+        try:
+            sample_candidates(cfg)
+        except ValueError:  # a dt or speed that builds no finite trajectory; the trajectory refuses it
+            pass
 
 
 class TestFromDict:

@@ -134,7 +134,7 @@ def test_gt_flows_matches_frozen_loop(x, y, yaw, speed, turn_rate, t):
     logits = np.tile([0.0, 5.0], (4, 1))
     scene = GaussianScene(means, np.zeros((4, 3)), np.tile([1.0, 0, 0, 0], (4, 1)), logits, ("a", "b"))
     cfg = ScenarioConfig(spec=GridSpec((0, 0, 0), (1, 1, 1), 1.0), num_steps=num_steps, dt=dt, agents=(a,))
-    scenario = Scenario(cfg=cfg, gt_grids=(), gt_boxes=(), gt_map=(), gt_ego=None, num_classes=2)
+    scenario = Scenario(cfg=cfg, gt_grids=(), gt_boxes=(), gt_map=(), gt_ego=None)
     got = gt_flows(scenario, scene).steps
     assert np.max(np.abs(got - _oracle_agent_flows(a, means, num_steps, dt))) <= 1e-12
 

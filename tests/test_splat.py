@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 
@@ -304,7 +305,7 @@ def test_kernel_matches_per_gaussian_oracle(case, use_index, monkeypatch):
     if case == "multi_chunk_group":
         assert sum(1 for _ in _block_chunks(scene, spec, 3.0, use_index)) >= 3
     if case == "many_pairs":
-        assert sum(flat.size for _, flat, _, _ in _block_chunks(scene, spec, 3.0, use_index)) > 2**14
+        assert sum(flat.size for _, flat, *_ in _block_chunks(scene, spec, 3.0, use_index)) > 2**14
     if case == "kappa_on_scale_axis":  # some voxel centre at κ rounds to inside the cutoff
         assert any(np.any((q <= 9.0) & (q > 9.0 * (1 - 1e-12))) for *_, q in _block_chunks(scene, spec, 3.0, use_index))
     params = SplatParams(ClassConfig(3), use_index=use_index)
@@ -315,7 +316,7 @@ def test_kernel_matches_per_gaussian_oracle(case, use_index, monkeypatch):
     assert np.array_equal(F, F_ref)
     # the inside (g, flat) pairs are the oracle's, sorted by Gaussian and then voxel on both sides
     none = [np.zeros((0, 2), int)]
-    got = np.concatenate(none + [np.stack([gi, flat], axis=1) for _, gi, flat, _, _ in pairs])
+    got = np.concatenate(none + [np.stack([gi, flat], axis=1) for _, gi, flat, *_ in pairs])
     want = np.concatenate(
         none + [np.stack([np.full(flat.size, gi), flat], axis=1) for gi, flat, *_ in _oracle_pairs(scene, spec, params)]
     )
@@ -362,11 +363,48 @@ def test_backward_sums_equal_frozen_flat_bincount(case, num_classes):
 
 
 @pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_backward_pass_reads_the_forward_walks_offsets(case, monkeypatch):
+    """One loss-and-gradients call builds voxel centres once, and each pair's d is centre − mean to the bit."""
+    spec, scene = KERNEL_CASES[case]
+    params = make_params()
+    for voxels in (None, np.arange(0, spec.num_voxels, 7)):
+        for _, gi, flat, d, *_ in evidence_field(scene, spec, params, voxels=voxels)[1]:
+            assert np.array_equal(d, voxel_centers(spec)[flat] - scene.means[gi])
+    walked = any(True for _ in _block_chunks(scene, spec, 3.0, True))  # a walk with no block builds no centres
+    built = []
+
+    def counted_centers(*args):
+        built.append(args)
+        return voxel_centers(*args)
+
+    monkeypatch.setattr(importlib.import_module("gaussworld.splat"), "voxel_centers", counted_centers)
+    target = OccupancyGrid(spec, np.random.default_rng(5).choice([0, 1, 2, EMPTY], spec.num_voxels).astype(np.uint8))
+    occupancy_loss_and_grads(scene, target, params)
+    assert len(built) == walked
+
+
+def test_only_the_kernel_walk_builds_voxel_centres():
+    """In splat.py, voxel_centers is called inside _block_chunks only; every other pass reads the walk's d."""
+    splat_module = importlib.import_module("gaussworld.splat")
+    with open(splat_module.__file__) as f:
+        tree = ast.parse(f.read())
+    walk = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_block_chunks")
+    inside = {id(n) for n in ast.walk(walk)}
+    calls = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and "voxel_centers" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+    ]
+    assert calls
+    assert [c.lineno for c in calls if id(c) not in inside] == []
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_blocks_within_max_scale_box(case):
     """No kernel block is larger than the κ·max(scale) box that the frozen oracle walks."""
     spec, scene = KERNEL_CASES[case]
     oracle = {gi: set(flat.tolist()) for gi, flat in _oracle_blocks(scene, spec, 3.0, True)}
-    for g, flat, _, _ in _block_chunks(scene, spec, 3.0, True):
+    for g, flat, *_ in _block_chunks(scene, spec, 3.0, True):
         for gi, row in zip(g, flat):
             assert set(row.tolist()) <= oracle[gi]
 
@@ -388,7 +426,7 @@ def test_axis_aligned_block_is_exact_per_axis():
     scales = np.array([1.0, 0.1, 0.1])
     mean = voxel_centers(spec)[spec.flat_index(15, 6, 6)]
     scene = GaussianScene(mean, np.log(scales), (1, 0, 0, 0), (0.0, 0.0, 0.0), ("a", "b", "c"))
-    ((_, flat, _, _),) = _block_chunks(scene, spec, 3.0, True)
+    ((_, flat, *_),) = _block_chunks(scene, spec, 3.0, True)
     nx, ny, nz = spec.dims
     widths = [np.ptp(a) + 1 for a in np.unravel_index(flat[0], (nz, ny, nx))[::-1]]
     assert widths == [2 * math.floor(3.0 * s / spec.voxel_size) + 1 for s in scales] == [25, 3, 3]

@@ -1,10 +1,12 @@
+import copy
 import json
 import math
-from dataclasses import asdict
+import shutil
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussworld.boxes import Box, points_in_box
@@ -25,6 +27,7 @@ from gaussworld.synth import (
     save_scenario,
 )
 from tests.oracles import rasterize_boxes_full_grid
+from tests.test_io import JSON_VALUES
 
 
 SPEC = GridSpec((-8.0, -6.0, -0.5), (48, 24, 6), 0.5)
@@ -159,6 +162,115 @@ class TestGenerate:
         )
 
 
+class TestFieldChecks:
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: corridor_cfg(num_steps=2.5), "num_steps"),
+            (lambda: corridor_cfg(dt="x"), "dt"),
+            (lambda: corridor_cfg(ego_speed="x"), "ego_speed"),
+            (lambda: corridor_cfg(ego_curvature=None), "ego_curvature"),
+            (lambda: corridor_cfg(num_classes=[3]), "num_classes"),
+            (lambda: corridor_cfg(seed=0.5), "seed"),
+            (lambda: AgentSpec(class_id=2, x=0.0, y=0.0, size=[1]), "agent size"),
+            (lambda: AgentSpec(class_id=2, x=0.0, y=0.0, size=(4.0, 0.0, 1.6)), "agent size"),
+            (lambda: AgentSpec(class_id=2.5, x=0.0, y=0.0), "agent class_id"),
+            (lambda: AgentSpec(class_id=2, x=0.0, y=math.nan), "agent y"),
+            (lambda: AgentSpec(class_id=2, x=0.0, y=0.0, speed="fast"), "agent speed"),
+            (lambda: LayoutConfig(corridor_width="w"), "layout corridor_width"),
+            (lambda: LayoutConfig(wall_height=0.0), "layout wall_height"),
+            (lambda: LayoutConfig(wall_class_id="1"), "layout wall_class_id"),
+        ],
+    )
+    def test_a_malformed_field_is_named_when_built(self, build, match):
+        # each used to build and fail later in generate or load_scenario, or to fail with a TypeError
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_whole_floats_are_whole_numbers(self):
+        cfg = corridor_cfg(num_steps=2.0, agents=(AgentSpec(class_id=2.0, x=6, y=0),))
+        assert cfg.num_steps == 2 and type(cfg.num_steps) is int
+        assert type(cfg.agents[0].class_id) is int and type(cfg.agents[0].x) is float
+        assert len(generate(cfg).gt_grids) == 3
+
+
+FUZZ_CFG = corridor_cfg(agents=(AgentSpec(class_id=2, x=6.0, y=0.5, speed=2.0),), ego_speed=2.0)
+FUZZ_DOC = json.loads(json.dumps(asdict(FUZZ_CFG)))
+# every field of the config document, nested ones too, and each nested object as a whole
+CONFIG_PATHS = (
+    [(k,) for k in FUZZ_DOC]
+    + [("spec", f.name) for f in fields(GridSpec)]
+    + [("layout", f.name) for f in fields(LayoutConfig)]
+    + [("agents", 0)]
+    + [("agents", 0, f.name) for f in fields(AgentSpec)]
+)
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES)
+@example(path=("num_steps",), value=2.0)
+@example(path=("dt",), value="x")
+@example(path=("ego_speed",), value="x")
+@example(path=("agents", 0, "size"), value=[1])
+@example(path=("layout", "corridor_width"), value="w")
+@example(path=("agents", 0, "x"), value=10**400)  # past float range: OverflowError, not ValueError
+def test_scenario_config_of_any_field_value_works_or_raises_value_error(path, value):
+    """A scenario config with any JSON value in one field is refused with a ValueError, or builds and generates."""
+    try:
+        cfg = config_from_dict(_replaced(FUZZ_DOC, path, value))
+    except ValueError:
+        return
+    if cfg.spec.num_voxels <= SPEC.num_voxels and cfg.num_steps <= 6:
+        try:
+            sc = generate(cfg)
+        except ValueError:  # a dt or motion that builds no finite trajectory; the trajectory refuses it
+            return
+        assert len(sc.gt_grids) == cfg.num_steps + 1 and sc.num_classes == cfg.inferred_num_classes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle(tmp_path_factory):
+    """A saved bundle and a copy of it, whose scenario.json each example overwrites."""
+    directory = tmp_path_factory.mktemp("bundle")
+    save_scenario(directory / "saved", generate(FUZZ_CFG))
+    shutil.copytree(directory / "saved", directory / "edited")
+    return directory
+
+
+BUNDLE_PATHS = (
+    [(k,) for k in ("format", "version", "config", "num_classes", "ego", "boxes", "map")]
+    + [("config",) + p for p in CONFIG_PATHS]
+    + [("ego", 0), ("ego", 0, 1), ("boxes", 0), ("boxes", 0, 0), ("boxes", 0, 0, "size"), ("map", 0), ("map", 0, 1)]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(path=st.sampled_from(BUNDLE_PATHS), value=JSON_VALUES)
+@example(path=("num_classes",), value="x")
+@example(path=("config", "num_steps"), value=10**18)  # more steps than grid files
+@example(path=("config", "num_steps"), value=2.0)
+def test_scenario_bundle_of_any_field_value_loads_or_raises_value_error(fuzz_bundle, path, value):
+    """A bundle with any JSON value in one field of scenario.json loads, or raises a ValueError and nothing else."""
+    doc = json.loads((fuzz_bundle / "saved" / "scenario.json").read_text())
+    (fuzz_bundle / "edited" / "scenario.json").write_text(json.dumps(_replaced(doc, path, value)))
+    try:
+        sc = load_scenario(fuzz_bundle / "edited")
+    except ValueError:
+        return
+    assert len(sc.gt_grids) == sc.cfg.num_steps + 1
+    assert sc.num_classes == sc.cfg.inferred_num_classes()
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
         cfg = corridor_cfg(
@@ -217,6 +329,18 @@ class TestScenarioIO:
         assert [w.x for w in back.gt_ego.waypoints] == [w.x for w in sc.gt_ego.waypoints]
         for (ca, pa), (cb, pb) in zip(sc.gt_map, back.gt_map):
             assert ca == cb and np.array_equal(pa, pb)
+
+    def test_class_count_comes_from_the_config(self, tmp_path):
+        # the bundle's top-level num_classes was read unchecked, so "x" loaded and failed later
+        sc = generate(corridor_cfg(agents=(AgentSpec(class_id=2, x=6.0, y=0.5),)))
+        assert sc.num_classes == sc.cfg.inferred_num_classes() == 3
+        save_scenario(tmp_path / "bundle", sc)
+        path = tmp_path / "bundle" / "scenario.json"
+        doc = json.loads(path.read_text())
+        assert "num_classes" not in doc
+        for older in (3, "x", 99):  # bundles written before the count was derived still load, the key ignored
+            path.write_text(json.dumps({**doc, "num_classes": older}))
+            assert load_scenario(tmp_path / "bundle").num_classes == 3
 
     # a key alone is deleted from the bundle; a (key, value) pair replaces the key's value
     @pytest.mark.parametrize(
